@@ -88,16 +88,15 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   }
   ExecStats* st = &session->stats;
   st->pattern_matches.assign(1, 0);
-  ScanContext scan_ctx;
-  scan_ctx.cancel = &session->cancelled;
-  scan_ctx.ArmDeadline(options.time_budget_ms);
-  scan_ctx.pins = &session->pins;
+  const ScanContext scan_ctx{.cancel = &session->cancelled,
+                             .deadline = Deadline::After(options.time_budget_ms),
+                             .pins = &session->pins};
   std::vector<EventView> events =
       FetchDataQuery(db, ctx.patterns[0].query, options, pool, session, &scan_ctx);
   if (session->IsCancelled()) {
     return Result<ResultTable>::Error("execution cancelled");
   }
-  if (scan_ctx.DeadlineExpired()) {
+  if (scan_ctx.deadline.Expired()) {
     return Result<ResultTable>::Error("execution budget exceeded: time limit reached");
   }
   st->pattern_matches[0] = events.size();

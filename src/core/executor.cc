@@ -148,20 +148,21 @@ class MultieventExecutor {
         pool_(pool),
         session_(session),
         stats_(&session->stats),
-        // AiqlEngine::ExecuteContext already folded the session's budget
-        // override into options.time_budget_ms.
-        budget_(options.time_budget_ms, options.max_join_work, &session->cancelled),
+        // The per-run scan context: storage-layer morsel loops check the
+        // cancellation flag and the run's deadline between morsels, and
+        // decoded archive columns pin into the session for the run's
+        // lifetime. AiqlEngine::ExecuteContext already folded the session's
+        // budget override into options.time_budget_ms.
+        scan_ctx_{.cancel = &session->cancelled,
+                  .deadline = Deadline::After(options.time_budget_ms),
+                  .pins = &session->pins},
+        // The join budget shares the run's one deadline with the scans.
+        budget_(scan_ctx_.deadline, options.max_join_work, &session->cancelled),
         joiner_(db.catalog(), &budget_,
                 JoinStrategy{
                     .hash_equality = options.scheduler != SchedulerKind::kBigJoin,
                     .temporal_index = options.scheduler != SchedulerKind::kBigJoin}) {
     stats_->pattern_matches.assign(ctx.patterns.size(), 0);
-    // The per-run scan context: storage-layer morsel loops check the
-    // cancellation flag and this run's deadline between morsels, and decoded
-    // archive columns pin into the session for the run's lifetime.
-    scan_ctx_.cancel = &session->cancelled;
-    scan_ctx_.ArmDeadline(options.time_budget_ms);
-    scan_ctx_.pins = &session->pins;
   }
 
   Result<TupleSet> Run() {
@@ -192,7 +193,7 @@ class MultieventExecutor {
     if (session_->IsCancelled()) {
       return Status::Error("execution cancelled");
     }
-    if (scan_ctx_.DeadlineExpired()) {
+    if (scan_ctx_.deadline.Expired()) {
       return Status::Error("execution budget exceeded: time limit reached");
     }
     return Status::Ok();

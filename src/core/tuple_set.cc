@@ -18,7 +18,7 @@ Status BudgetGuard::Charge(size_t produced) {
     if (cancelled_ != nullptr && cancelled_->load(std::memory_order_relaxed)) {
       return Status::Error("execution cancelled");
     }
-    if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
+    if (deadline_.Expired()) {
       return Status::Error("execution budget exceeded: time limit reached");
     }
   }

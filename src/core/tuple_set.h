@@ -8,31 +8,26 @@
 #define AIQL_SRC_CORE_TUPLE_SET_H_
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/eval.h"
+#include "src/util/deadline.h"
 #include "src/util/result.h"
 
 namespace aiql {
 
 // Wall-clock, cardinality, and cancellation guard for query execution. The
 // paper's baseline measurements cap queries at one hour; benches use much
-// smaller budgets. `cancelled` (optional, not owned) is the execution
-// session's cooperative-cancel flag: joins abort at the next Charge after it
-// is set.
+// smaller budgets. `deadline` is the run's (shared with its scans);
+// `cancelled` (optional, not owned) is the execution session's
+// cooperative-cancel flag: joins abort at the next Charge after it is set.
 class BudgetGuard {
  public:
   BudgetGuard() = default;
-  BudgetGuard(int64_t budget_ms, size_t max_rows, const std::atomic<bool>* cancelled = nullptr)
-      : max_rows_(max_rows), cancelled_(cancelled) {
-    if (budget_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-      has_deadline_ = true;
-    }
-  }
+  BudgetGuard(Deadline deadline, size_t max_rows, const std::atomic<bool>* cancelled = nullptr)
+      : deadline_(deadline), max_rows_(max_rows), cancelled_(cancelled) {}
 
   // Registers `produced` new intermediate rows; fails when over budget or
   // after cancellation.
@@ -41,8 +36,7 @@ class BudgetGuard {
   size_t rows_produced() const { return rows_; }
 
  private:
-  std::chrono::steady_clock::time_point deadline_{};
-  bool has_deadline_ = false;
+  Deadline deadline_;
   size_t max_rows_ = 0;  // 0 = unlimited
   size_t rows_ = 0;
   size_t since_time_check_ = 0;

@@ -147,6 +147,29 @@ class Parser {
     return Result<Query>(ErrStatus(message));
   }
 
+  // --- nesting depth -------------------------------------------------------
+  // Every recursive step of the three self-nesting grammars (attribute
+  // predicates, operation expressions, filter/return expressions) holds one
+  // level for its duration. Past kMaxNestingDepth the parse fails with a
+  // positioned error instead of exhausting the stack.
+  static constexpr int kMaxNestingDepth = 256;
+  class DepthGuard {
+   public:
+    explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
+    ~DepthGuard() { --*depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+    bool exceeded() const { return *depth_ > kMaxNestingDepth; }
+
+   private:
+    int* depth_;
+  };
+  Status NestingTooDeep() const {
+    return Status::Error("line " + std::to_string(Cur().line) + ", column " +
+                         std::to_string(Cur().col) + ": nesting too deep (more than " +
+                         std::to_string(kMaxNestingDepth) + " levels)");
+  }
+
   static std::optional<CmpOp> CmpFromToken(TokenType t) {
     switch (t) {
       case TokenType::kEq:
@@ -397,6 +420,10 @@ class Parser {
   }
 
   Status ParseAttrUnary(PredExpr* out) {
+    DepthGuard depth(&depth_);
+    if (depth.exceeded()) {
+      return NestingTooDeep();
+    }
     if (Accept(TokenType::kBang)) {
       PredExpr inner;
       Status s = ParseAttrUnary(&inner);
@@ -475,6 +502,10 @@ class Parser {
 
   // --- operation expressions -----------------------------------------------
   Status ParseOpUnary(OpMask* out) {
+    DepthGuard depth(&depth_);
+    if (depth.exceeded()) {
+      return NestingTooDeep();
+    }
     if (Accept(TokenType::kBang)) {
       OpMask inner = 0;
       Status s = ParseOpUnary(&inner);
@@ -793,7 +824,13 @@ class Parser {
     return ErrStatus("expected an expression, found " + Describe(Cur()));
   }
 
+  // Guards the whole expression grammar: parenthesized and call-argument
+  // subexpressions re-enter through here via ParsePrimaryExpr.
   Status ParseUnaryExpr(Expr* out) {
+    DepthGuard depth(&depth_);
+    if (depth.exceeded()) {
+      return NestingTooDeep();
+    }
     if (Accept(TokenType::kBang)) {
       Expr inner;
       Status s = ParseUnaryExpr(&inner);
@@ -1129,6 +1166,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting depth (see DepthGuard)
 };
 
 }  // namespace

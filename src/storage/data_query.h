@@ -11,7 +11,6 @@
 #define AIQL_SRC_STORAGE_DATA_QUERY_H_
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -20,6 +19,7 @@
 
 #include "src/storage/event.h"
 #include "src/storage/predicate.h"
+#include "src/util/deadline.h"
 #include "src/util/time_utils.h"
 
 namespace aiql {
@@ -146,25 +146,14 @@ class ColumnPins {
 // columns pinned only by decode-cache residency.
 struct ScanContext {
   const std::atomic<bool>* cancel = nullptr;
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
+  Deadline deadline;
   ColumnPins* pins = nullptr;
-
-  void ArmDeadline(int64_t budget_ms) {
-    if (budget_ms > 0) {
-      deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-      has_deadline = true;
-    }
-  }
 
   bool Cancelled() const {
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   }
-  bool DeadlineExpired() const {
-    return has_deadline && std::chrono::steady_clock::now() >= deadline;
-  }
   // True when the scan should stop claiming work and return what it has.
-  bool ShouldStop() const { return Cancelled() || DeadlineExpired(); }
+  bool ShouldStop() const { return Cancelled() || deadline.Expired(); }
 };
 
 // Scan-scoped pin fallback, used by every scan entry point that merges

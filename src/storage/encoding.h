@@ -22,19 +22,12 @@
 // per partition, no tuning knob. Blocks are kEncodingBlock values, so decode
 // is a tight unpack loop and a whole column decodes in one pass
 // (the archive tier decodes per column, on demand; see partition.h).
-//
-// EncodedStrings is the matching dictionary + length encoding for string
-// columns: distinct strings stored once in a contiguous heap, per-row values
-// as bit-packed dictionary codes. Event columns are all numeric today; the
-// string codec exists for the entity catalog's attribute columns (the next
-// archive consumer) and is round-trip tested with the integer codecs.
 #ifndef AIQL_SRC_STORAGE_ENCODING_H_
 #define AIQL_SRC_STORAGE_ENCODING_H_
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace aiql {
@@ -143,24 +136,6 @@ void DecodeColumn(const EncodedInts& e, std::vector<T>* out) {
   out->resize(e.count);
   DecodeIntsInto(e, out->data());
 }
-
-// Dictionary + length encoding for string columns: the distinct strings in
-// first-occurrence order, concatenated into one heap with an offsets array
-// (the length encoding), and per-row values as bit-packed dictionary codes.
-struct EncodedStrings {
-  uint32_t count = 0;             // number of rows
-  std::vector<char> heap;         // concatenated distinct strings
-  std::vector<uint32_t> offsets;  // dict entry i = heap[offsets[i], offsets[i+1])
-  EncodedInts codes;              // per-row dictionary indexes
-
-  size_t EncodedBytes() const {
-    return sizeof(EncodedStrings) + heap.size() + offsets.size() * sizeof(uint32_t) +
-           codes.EncodedBytes();
-  }
-};
-
-EncodedStrings EncodeStrings(const std::vector<std::string>& v);
-void DecodeStrings(const EncodedStrings& e, std::vector<std::string>* out);
 
 }  // namespace aiql
 

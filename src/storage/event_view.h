@@ -9,7 +9,7 @@
 //
 // EventView is the engine-wide currency for a matched event: a cheap handle
 // that reads either a columnar row (partition storage after Finalize) or a
-// plain Event (row-store partitions, the property-graph baseline, tests).
+// plain Event (the property-graph baseline, tests).
 // Joins, tuple sets, and projection consume EventViews without ever
 // materializing Event copies.
 #ifndef AIQL_SRC_STORAGE_EVENT_VIEW_H_

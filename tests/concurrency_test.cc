@@ -1,6 +1,6 @@
 // Concurrency tests for the re-entrant engine facade: many threads executing
 // against a single const AiqlEngine (shared thread pool, shared plan cache,
-// deprecated last_stats() shim) must race-free produce identical results.
+// per-result stats) must race-free produce identical results.
 // CI runs this binary under ThreadSanitizer (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
@@ -66,11 +66,10 @@ TEST_F(ConcurrencyTest, ConcurrentExecuteOnOneConstEngine) {
         auto r = engine.Execute(kChainQuery);
         if (!r.ok() || !r.value().SameRowsAs(reference.value())) {
           ++failures[t];
+          continue;
         }
-        // The deprecated shim stays data-race-free under concurrency (the
-        // value is last-writer-wins and only meaningful single-threaded).
-        ExecStats stats = engine.last_stats();
-        if (stats.data_queries == 0) {
+        // Each result owns the stats of the run that produced it.
+        if (r.value().exec_stats().data_queries == 0) {
           ++failures[t];
         }
       }

@@ -228,7 +228,7 @@ TEST_F(EngineTest, StatsPopulated) {
   AiqlEngine engine(&db_, EngineOptions{});
   auto r = engine.Execute(kChainQuery);
   ASSERT_TRUE(r.ok()) << r.error();
-  const ExecStats& stats = engine.last_stats();
+  const ExecStats& stats = r.value().exec_stats();
   EXPECT_EQ(stats.pattern_matches.size(), 4u);
   EXPECT_GT(stats.data_queries, 0u);
   EXPECT_GT(stats.pushdown_applications, 0u);
@@ -240,7 +240,7 @@ TEST_F(EngineTest, PushdownDisabledStillCorrect) {
   auto r = engine.Execute(kChainQuery);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().num_rows(), 1u);
-  EXPECT_EQ(engine.last_stats().pushdown_applications, 0u);
+  EXPECT_EQ(r.value().exec_stats().pushdown_applications, 0u);
 }
 
 // --- anomaly execution ---

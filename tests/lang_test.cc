@@ -2,6 +2,9 @@
 // context-aware inference, dependency rewriting, and error reporting.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "src/lang/lexer.h"
 #include "src/lang/params.h"
 #include "src/lang/parser.h"
@@ -231,6 +234,45 @@ TEST(ParserErrorTest, TrailingGarbage) {
 TEST(ParserErrorTest, DependencyNeedsEdge) {
   auto r = ParseQuery("forward: proc p1 return p1");
   EXPECT_FALSE(r.ok());
+}
+
+// Hostile nesting: each self-nesting grammar must fail with a positioned
+// error at depth 10,000 (it used to overflow the stack) and still parse at
+// depth 100.
+std::string Parenthesized(size_t depth, const std::string& inner) {
+  return std::string(depth, '(') + inner + std::string(depth, ')');
+}
+
+void ExpectNestingLimit(const std::function<std::string(size_t)>& query) {
+  auto shallow = ParseQuery(query(100));
+  EXPECT_TRUE(shallow.ok()) << shallow.error();
+  auto deep = ParseQuery(query(10000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.error().find("nesting too deep"), std::string::npos) << deep.error();
+  EXPECT_NE(deep.error().find("line 1, column "), std::string::npos) << deep.error();
+}
+
+TEST(ParserErrorTest, DeepAttributePredicateNestingIsPositionedError) {
+  ExpectNestingLimit([](size_t depth) {
+    return "proc p1[" + Parenthesized(depth, "exe_name = \"a\"") +
+           "] write file f1 as evt1 return p1";
+  });
+}
+
+TEST(ParserErrorTest, DeepOperationExpressionNestingIsPositionedError) {
+  ExpectNestingLimit([](size_t depth) {
+    return "proc p1 " + Parenthesized(depth, "write") + " file f1 as evt1 return p1";
+  });
+}
+
+TEST(ParserErrorTest, DeepFilterExpressionNestingIsPositionedError) {
+  ExpectNestingLimit([](size_t depth) {
+    return "proc p1 write file f1 as evt1 return p1, count(evt1.id) as n group by p1 having " +
+           Parenthesized(depth, "n > 1");
+  });
+  ExpectNestingLimit([](size_t depth) {
+    return "proc p1 write file f1 as evt1 return " + Parenthesized(depth, "p1");
+  });
 }
 
 // --- inference ---

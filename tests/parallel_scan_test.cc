@@ -1,9 +1,10 @@
 // Parallel-scan equivalence: the morsel-driven parallel partition scan
 // (Database::ExecuteQueryParallel, MppCluster::ExecuteQueryParallel) must be
 // indistinguishable from the serial path — byte-identical result sequences
-// and identical aggregate ScanStats — at every parallelism level, on both
-// storage layouts, and through the engine's day-split fallback. These tests
-// are the ones the ThreadSanitizer CI job runs.
+// and identical aggregate ScanStats — at every parallelism level and through
+// the engine's day-split fallback, and must return what the brute-force
+// reference store returns. These tests are the ones the ThreadSanitizer CI
+// job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_store.h"
 
 namespace aiql {
 namespace {
@@ -132,12 +134,11 @@ std::vector<uint64_t> InvariantStats(const ScanStats& s) {
           s.partitions_pruned_entity, s.bitmap_probes};
 }
 
-class ParallelScanPropertyTest : public ::testing::TestWithParam<StorageLayout> {};
-
-TEST_P(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
-  Database db{DatabaseOptions{.agent_group_size = 2, .layout = GetParam()}};
+TEST(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
+  Database db{DatabaseOptions{.agent_group_size = 2}};
   FillDatabase(&db);
   ASSERT_GT(db.num_partitions(), 2u);
+  const ReferenceStore reference(db);
 
   // parallelism = 1 is the no-pool fallback; 2 and 8 exercise under- and
   // over-subscribed morsel queues (8 workers over a handful of partitions).
@@ -149,6 +150,7 @@ TEST_P(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
     DataQuery q = RandomQuery(&rng);
     ScanStats serial_stats;
     std::vector<int64_t> serial_ids = IdsOf(db.ExecuteQuery(q, &serial_stats));
+    EXPECT_EQ(serial_ids, IdsOf(reference.ExecuteQuery(q, nullptr))) << "trial " << trial;
     for (ThreadPool* pool : pools) {
       ScanStats par_stats;
       std::vector<int64_t> par_ids = IdsOf(db.ExecuteQueryParallel(q, &par_stats, pool));
@@ -165,14 +167,6 @@ TEST_P(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Layouts, ParallelScanPropertyTest,
-                         ::testing::Values(StorageLayout::kColumnar, StorageLayout::kRowStore),
-                         [](const auto& info) {
-                           return std::string(StorageLayoutName(info.param)) == "columnar"
-                                      ? "Columnar"
-                                      : "RowStore";
-                         });
-
 TEST(MppParallelScanTest, PooledMorselsMatchSegmentScatter) {
   Database source;
   FillDatabase(&source);
@@ -180,6 +174,7 @@ TEST(MppParallelScanTest, PooledMorselsMatchSegmentScatter) {
        {DistributionPolicy::kArrivalRoundRobin, DistributionPolicy::kSemanticsAware}) {
     MppCluster cluster(3, policy);
     cluster.BuildFrom(source);
+    const ReferenceStore reference(source);
     ThreadPool pool(3);
     Rng rng(404);
     for (int trial = 0; trial < 60; ++trial) {
@@ -188,6 +183,8 @@ TEST(MppParallelScanTest, PooledMorselsMatchSegmentScatter) {
       std::vector<int64_t> serial_ids = IdsOf(cluster.ExecuteQuery(q, &serial_stats));
       std::vector<int64_t> par_ids = IdsOf(cluster.ExecuteQueryParallel(q, &par_stats, &pool));
       EXPECT_EQ(par_ids, serial_ids) << DistributionPolicyName(policy) << " trial " << trial;
+      EXPECT_EQ(serial_ids, IdsOf(reference.ExecuteQuery(q, nullptr)))
+          << DistributionPolicyName(policy) << " trial " << trial;
       EXPECT_EQ(InvariantStats(par_stats), InvariantStats(serial_stats))
           << DistributionPolicyName(policy) << " trial " << trial;
     }
@@ -221,18 +218,24 @@ return distinct p1, f2)";
   ASSERT_TRUE(rd.ok()) << rd.error();
   EXPECT_TRUE(rs.value().SameRowsAs(rm.value()));
   EXPECT_TRUE(rs.value().SameRowsAs(rd.value()));
+  const ReferenceStore reference(db);
+  auto rr = AiqlEngine(&reference).Execute(query);
+  ASSERT_TRUE(rr.ok()) << rr.error();
+  EXPECT_GT(rr.value().num_rows(), 0u);
+  EXPECT_TRUE(rs.value().SameRowsAs(rr.value()));
+  const ExecStats& serial_stats = rs.value().exec_stats();
+  const ExecStats& morsel_stats = rm.value().exec_stats();
+  const ExecStats& day_split_stats = rd.value().exec_stats();
   // The morsel engine went through the storage fan-out; day-split did not.
-  EXPECT_GT(morsel.last_stats().scan.parallel_morsels, 0u);
-  EXPECT_EQ(day_split.last_stats().scan.parallel_morsels, 0u);
-  EXPECT_GT(day_split.last_stats().parallel_slices, 0u);
+  EXPECT_GT(morsel_stats.scan.parallel_morsels, 0u);
+  EXPECT_EQ(day_split_stats.scan.parallel_morsels, 0u);
+  EXPECT_GT(day_split_stats.parallel_slices, 0u);
   // The morsel scan aggregates the exact serial stats. Day-split re-plans
   // per day (pruning the other days' partitions in every sub-query, re-
   // resolving entities), so only the touched/matched totals are invariant.
-  EXPECT_EQ(InvariantStats(morsel.last_stats().scan), InvariantStats(serial.last_stats().scan));
-  EXPECT_EQ(day_split.last_stats().scan.events_scanned,
-            serial.last_stats().scan.events_scanned);
-  EXPECT_EQ(day_split.last_stats().scan.events_matched,
-            serial.last_stats().scan.events_matched);
+  EXPECT_EQ(InvariantStats(morsel_stats.scan), InvariantStats(serial_stats.scan));
+  EXPECT_EQ(day_split_stats.scan.events_scanned, serial_stats.scan.events_scanned);
+  EXPECT_EQ(day_split_stats.scan.events_matched, serial_stats.scan.events_matched);
 }
 
 // --- cooperative cancellation in the storage morsel loop ---------------------
@@ -277,9 +280,9 @@ TEST(ScanCancellationTest, ExpiredDeadlineStopsTheMorselLoop) {
   q.object_type = EntityType::kFile;
 
   ScanContext ctx;
-  ctx.ArmDeadline(1);
+  ctx.deadline = Deadline::After(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(ctx.DeadlineExpired());
+  ASSERT_TRUE(ctx.deadline.Expired());
   ThreadPool pool(3);
   ScanStats stats;
   EXPECT_TRUE(db.ExecuteQueryParallel(q, &stats, &pool, &ctx).empty());

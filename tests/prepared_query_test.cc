@@ -1,8 +1,8 @@
 // Prepare/bind/execute lifecycle tests: PreparedQuery/BoundQuery semantics,
 // $parameter binding, plan-cache reuse across Runs, per-session cancellation,
 // and a randomized property test asserting Prepare-once/Bind-many results are
-// identical to fresh one-shot Execute with literals substituted — across both
-// storage layouts and parallelism 1/8.
+// identical to fresh one-shot Execute with literals substituted — and to the
+// brute-force reference store — at parallelism 1/8.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +10,7 @@
 #include "src/core/engine.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
+#include "tests/reference_store.h"
 
 namespace aiql {
 namespace {
@@ -275,16 +276,11 @@ TEST_F(PreparedQueryTest, PlanCacheStaysBoundedUnderDistinctWindowRebinds) {
 
 // --- randomized property: Prepare-once/Bind-many == fresh Execute ----------
 
-struct PreparedPropertyCase {
-  StorageLayout layout;
-  size_t parallelism;
-};
-
-class PreparedPropertyTest : public ::testing::TestWithParam<PreparedPropertyCase> {};
+class PreparedPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
-  PreparedPropertyCase param = GetParam();
-  Database db{DatabaseOptions{.layout = param.layout}};
+  const size_t parallelism = GetParam();
+  Database db;
   Rng rng(271828);
   TimestampMs base = MakeTimestamp(2017, 1, 1);
   std::vector<uint32_t> procs, files;
@@ -307,8 +303,9 @@ TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
                    rng.Range(0, 10000));
   }
   db.Finalize();
+  const ReferenceStore reference(db);
 
-  const AiqlEngine engine(&db, EngineOptions{.parallelism = param.parallelism});
+  const AiqlEngine engine(&db, EngineOptions{.parallelism = parallelism});
   auto prepared = engine.Prepare(R"(
       agentid = $agent (from $t0 to $t1)
       proc p1[$pat] read || write file f1 as evt1[amount > $thr]
@@ -348,26 +345,23 @@ TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
                           "return p1, p2, f1, evt1.amount\n"
                           "sort by evt1.amount desc\n"
                           "top 50";
-    const AiqlEngine fresh(&db, EngineOptions{.parallelism = param.parallelism});
+    const AiqlEngine fresh(&db, EngineOptions{.parallelism = parallelism});
     auto one_shot = fresh.Execute(literal);
     ASSERT_TRUE(one_shot.ok()) << one_shot.error() << "\n" << literal;
     // top 50 bounds the table, so the rendering covers every row: the
     // prepared-path output is byte-identical to the one-shot reference.
     EXPECT_EQ(via_prepared.value().ToString(10000), one_shot.value().ToString(10000))
         << "trial " << trial << "\n" << literal;
+    const AiqlEngine brute_force(&reference, EngineOptions{.parallelism = parallelism});
+    auto from_reference = brute_force.Execute(literal);
+    ASSERT_TRUE(from_reference.ok()) << from_reference.error() << "\n" << literal;
+    EXPECT_EQ(via_prepared.value().ToString(10000), from_reference.value().ToString(10000))
+        << "trial " << trial << "\n" << literal;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LayoutsAndParallelism, PreparedPropertyTest,
-    ::testing::Values(PreparedPropertyCase{StorageLayout::kColumnar, 1},
-                      PreparedPropertyCase{StorageLayout::kColumnar, 8},
-                      PreparedPropertyCase{StorageLayout::kRowStore, 1},
-                      PreparedPropertyCase{StorageLayout::kRowStore, 8}),
-    [](const auto& info) {
-      return std::string(info.param.layout == StorageLayout::kColumnar ? "Col" : "Row") + "P" +
-             std::to_string(info.param.parallelism);
-    });
+INSTANTIATE_TEST_SUITE_P(Parallelism, PreparedPropertyTest, ::testing::Values(1, 8),
+                         [](const auto& info) { return "P" + std::to_string(info.param); });
 
 }  // namespace
 }  // namespace aiql

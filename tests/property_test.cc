@@ -3,13 +3,15 @@
 //   - LIKE matching vs a recursive reference matcher,
 //   - sliding-window aggregation vs direct recomputation per window,
 //   - temporal joins vs nested-loop reference across all operators/ranges,
-//   - data-query execution vs full-scan filtering across storage layouts.
+//   - data-query execution vs full-scan filtering across storage schemes,
+//   - randomized data queries vs the brute-force ReferenceStore.
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/util/string_utils.h"
+#include "tests/reference_store.h"
 
 namespace aiql {
 namespace {
@@ -204,20 +206,18 @@ INSTANTIATE_TEST_SUITE_P(Operators, TemporalJoinPropertyTest,
                                            TempJoinCase{"evt1 before[1-5 minutes] evt2"}),
                          [](const auto& info) { return "case" + std::to_string(info.index); });
 
-// --- data-query execution vs full-scan reference across storage layouts ---
+// --- data-query execution vs full-scan reference across storage schemes ---
 
-struct LayoutCase {
+struct SchemeCase {
   PartitionScheme scheme;
   bool indexes;
-  StorageLayout layout = StorageLayout::kColumnar;
 };
 
-class StorageLayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {};
+class StorageSchemePropertyTest : public ::testing::TestWithParam<SchemeCase> {};
 
-TEST_P(StorageLayoutPropertyTest, ExecuteMatchesFullScan) {
-  LayoutCase layout = GetParam();
-  Database db{DatabaseOptions{
-      .scheme = layout.scheme, .build_indexes = layout.indexes, .layout = layout.layout}};
+TEST_P(StorageSchemePropertyTest, ExecuteMatchesFullScan) {
+  SchemeCase scheme = GetParam();
+  Database db{DatabaseOptions{.scheme = scheme.scheme, .build_indexes = scheme.indexes}};
   Rng rng(13);
   std::vector<uint32_t> procs, files;
   for (int i = 0; i < 10; ++i) {
@@ -275,74 +275,64 @@ TEST_P(StorageLayoutPropertyTest, ExecuteMatchesFullScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Layouts, StorageLayoutPropertyTest,
-    ::testing::Values(
-        LayoutCase{PartitionScheme::kTimeSpace, true, StorageLayout::kColumnar},
-        LayoutCase{PartitionScheme::kTimeSpace, false, StorageLayout::kColumnar},
-        LayoutCase{PartitionScheme::kNone, true, StorageLayout::kColumnar},
-        LayoutCase{PartitionScheme::kNone, false, StorageLayout::kColumnar},
-        LayoutCase{PartitionScheme::kTimeSpace, true, StorageLayout::kRowStore},
-        LayoutCase{PartitionScheme::kTimeSpace, false, StorageLayout::kRowStore},
-        LayoutCase{PartitionScheme::kNone, true, StorageLayout::kRowStore},
-        LayoutCase{PartitionScheme::kNone, false, StorageLayout::kRowStore}),
+    Schemes, StorageSchemePropertyTest,
+    ::testing::Values(SchemeCase{PartitionScheme::kTimeSpace, true},
+                      SchemeCase{PartitionScheme::kTimeSpace, false},
+                      SchemeCase{PartitionScheme::kNone, true},
+                      SchemeCase{PartitionScheme::kNone, false}),
     [](const auto& info) {
       return std::string(info.param.scheme == PartitionScheme::kTimeSpace ? "part" : "flat") +
-             (info.param.indexes ? "Idx" : "NoIdx") +
-             (info.param.layout == StorageLayout::kColumnar ? "Col" : "Row");
+             (info.param.indexes ? "Idx" : "NoIdx");
     });
 
-// --- columnar vectorized scan vs the row-store baseline ---
+// --- randomized data queries vs the brute-force reference store ---
 //
-// The two layouts share sorting, posting lists, and pruning keys but use
-// entirely different scan code (selection-vector column filters vs per-event
-// row evaluation). Randomized data queries must return identical results.
+// The reference evaluates every constraint on every event; the database
+// plans, prunes partitions, resolves candidate entities and picks posting
+// or vectorized scans. Randomized data queries, including pushed-down
+// candidate sets, must return identical results in identical order.
 
-TEST(ColumnarEquivalencePropertyTest, RandomQueriesMatchRowStore) {
-  Database columnar{DatabaseOptions{.layout = StorageLayout::kColumnar}};
-  Database rowstore{DatabaseOptions{.layout = StorageLayout::kRowStore}};
-  Rng data_rng(101);
+TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
+  Database db;
   TimestampMs base = MakeTimestamp(2017, 1, 1);
-  std::vector<std::vector<uint32_t>> procs(2), files(2), nets(2);
-  for (Database* db : {&columnar, &rowstore}) {
-    Rng rng(17);  // identical streams into both layouts
-    std::vector<uint32_t> p, f, n;
-    for (int i = 0; i < 8; ++i) {
-      p.push_back(db->catalog().InternProcess(1 + i % 4, 100 + i, "/bin/p" + std::to_string(i),
-                                              i % 2 == 0 ? "root" : "alice"));
-    }
-    for (int i = 0; i < 20; ++i) {
-      f.push_back(db->catalog().InternFile(1 + i % 4, "/d/f" + std::to_string(i)));
-    }
-    for (int i = 0; i < 6; ++i) {
-      n.push_back(db->catalog().InternNetwork(1 + i % 4, "10.0.0.1",
-                                              "8.8." + std::to_string(i) + ".8", 1000 + i, 443));
-    }
-    for (int i = 0; i < 4000; ++i) {
-      uint32_t subj = p[rng.Below(p.size())];
-      AgentId agent = db->catalog().AgentOf(EntityType::kProcess, subj);
-      EntityType ot = rng.Chance(0.2)   ? EntityType::kNetwork
-                      : rng.Chance(0.3) ? EntityType::kProcess
-                                        : EntityType::kFile;
-      uint32_t obj = 0;
-      if (ot == EntityType::kFile) {
-        do {
-          obj = f[rng.Below(f.size())];
-        } while (db->catalog().AgentOf(EntityType::kFile, obj) != agent);
-      } else if (ot == EntityType::kNetwork) {
-        do {
-          obj = n[rng.Below(n.size())];
-        } while (db->catalog().AgentOf(EntityType::kNetwork, obj) != agent);
-      } else {
-        obj = p[rng.Below(p.size())];
-      }
-      auto op = static_cast<Operation>(rng.Below(kNumOperations));
-      db->RecordEvent(agent, subj, op, ot, obj,
-                      base + static_cast<TimestampMs>(rng.Below(3 * kDayMs)),
-                      rng.Range(0, 5000), static_cast<int32_t>(rng.Below(3)));
-    }
-    db->Finalize();
+  Rng data_rng(17);
+  std::vector<uint32_t> p, f, n;
+  for (int i = 0; i < 8; ++i) {
+    p.push_back(db.catalog().InternProcess(1 + i % 4, 100 + i, "/bin/p" + std::to_string(i),
+                                           i % 2 == 0 ? "root" : "alice"));
   }
-  ASSERT_EQ(columnar.num_events(), rowstore.num_events());
+  for (int i = 0; i < 20; ++i) {
+    f.push_back(db.catalog().InternFile(1 + i % 4, "/d/f" + std::to_string(i)));
+  }
+  for (int i = 0; i < 6; ++i) {
+    n.push_back(db.catalog().InternNetwork(1 + i % 4, "10.0.0.1",
+                                           "8.8." + std::to_string(i) + ".8", 1000 + i, 443));
+  }
+  for (int i = 0; i < 4000; ++i) {
+    uint32_t subj = p[data_rng.Below(p.size())];
+    AgentId agent = db.catalog().AgentOf(EntityType::kProcess, subj);
+    EntityType ot = data_rng.Chance(0.2)   ? EntityType::kNetwork
+                    : data_rng.Chance(0.3) ? EntityType::kProcess
+                                           : EntityType::kFile;
+    uint32_t obj = 0;
+    if (ot == EntityType::kFile) {
+      do {
+        obj = f[data_rng.Below(f.size())];
+      } while (db.catalog().AgentOf(EntityType::kFile, obj) != agent);
+    } else if (ot == EntityType::kNetwork) {
+      do {
+        obj = n[data_rng.Below(n.size())];
+      } while (db.catalog().AgentOf(EntityType::kNetwork, obj) != agent);
+    } else {
+      obj = p[data_rng.Below(p.size())];
+    }
+    auto op = static_cast<Operation>(data_rng.Below(kNumOperations));
+    db.RecordEvent(agent, subj, op, ot, obj,
+                   base + static_cast<TimestampMs>(data_rng.Below(3 * kDayMs)),
+                   data_rng.Range(0, 5000), static_cast<int32_t>(data_rng.Below(3)));
+  }
+  db.Finalize();
+  const ReferenceStore reference(db);
 
   auto leaf = [](const char* attr, CmpOp op, Value v) {
     AttrPredicate p;
@@ -399,6 +389,32 @@ TEST(ColumnarEquivalencePropertyTest, RandomQueriesMatchRowStore) {
         break;  // no event predicate
     }
     q.event_pred = std::move(pred);
+    if (rng.Chance(0.3)) {
+      q.subject_pred = leaf("user", CmpOp::kEq, Value(rng.Chance(0.5) ? "root" : "alice"));
+    }
+    if (rng.Chance(0.3)) {
+      q.object_pred = leaf(q.object_type == EntityType::kNetwork ? "dstip" : "name",
+                           CmpOp::kLike, Value("%1%"));
+    }
+    // Pushed-down candidates, as the relationship scheduler supplies them:
+    // random index subsets, sometimes naming entities that do not exist.
+    auto candidates = [&](size_t universe) {
+      std::vector<uint32_t> c;
+      for (uint32_t idx = 0; idx < universe + 2; ++idx) {
+        if (rng.Chance(0.3)) {
+          c.push_back(idx);
+        }
+      }
+      return c;
+    };
+    if (rng.Chance(0.3)) {
+      q.subject_candidates = candidates(p.size());
+    }
+    if (rng.Chance(0.3)) {
+      q.object_candidates = candidates(q.object_type == EntityType::kFile      ? f.size()
+                                       : q.object_type == EntityType::kNetwork ? n.size()
+                                                                               : p.size());
+    }
 
     auto ids_of = [](const std::vector<EventView>& events) {
       std::vector<int64_t> ids;
@@ -408,7 +424,7 @@ TEST(ColumnarEquivalencePropertyTest, RandomQueriesMatchRowStore) {
       }
       return ids;
     };
-    EXPECT_EQ(ids_of(columnar.ExecuteQuery(q)), ids_of(rowstore.ExecuteQuery(q)))
+    EXPECT_EQ(ids_of(db.ExecuteQuery(q)), ids_of(reference.ExecuteQuery(q, nullptr)))
         << "trial " << trial;
   }
 }

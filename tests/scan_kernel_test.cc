@@ -5,7 +5,8 @@
 //   - bloom/range-pruned plans ≡ unpruned plans (same events, events_scanned
 //     never higher, pruning observable via partitions_pruned_entity),
 //   - morsel-split parallel scans ≡ whole-partition and serial scans,
-// across both storage layouts and parallelism 1/8, plus unit coverage for
+// at parallelism 1/8 and against the brute-force reference store, plus unit
+// coverage for
 // the blocked bloom (false-positive-only), the dense bitmap translation, and
 // the sorted-run merge.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "src/storage/scan_kernels.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_store.h"
 
 namespace aiql {
 namespace {
@@ -182,26 +184,23 @@ TEST(DenseBitmapTest, TranslateCandidatesHeuristics) {
 TEST(MergeSortedRunsTest, TiedTimestampsComeBackInIdOrder) {
   // AppendRaw replay with descending ids at one timestamp: the partition
   // must emit (start_time, id) order without relying on a final global sort.
-  for (StorageLayout layout : {StorageLayout::kColumnar, StorageLayout::kRowStore}) {
-    Database db{DatabaseOptions{.layout = layout}};
-    db.catalog().InternProcess(1, 1, "/bin/tie");
-    db.catalog().InternFile(1, "/tie/f");
-    for (int64_t id : {7, 3, 9, 1}) {
-      Event e;
-      e.id = id;
-      e.agent_id = 1;
-      e.op = Operation::kRead;
-      e.object_type = EntityType::kFile;
-      e.start_time = 1000;
-      e.end_time = 1000;
-      db.AppendRaw(e);
-    }
-    db.Finalize();
-    DataQuery q;
-    q.object_type = EntityType::kFile;
-    EXPECT_EQ(IdsOf(db.ExecuteQuery(q)), (std::vector<int64_t>{1, 3, 7, 9}))
-        << StorageLayoutName(layout);
+  Database db;
+  db.catalog().InternProcess(1, 1, "/bin/tie");
+  db.catalog().InternFile(1, "/tie/f");
+  for (int64_t id : {7, 3, 9, 1}) {
+    Event e;
+    e.id = id;
+    e.agent_id = 1;
+    e.op = Operation::kRead;
+    e.object_type = EntityType::kFile;
+    e.start_time = 1000;
+    e.end_time = 1000;
+    db.AppendRaw(e);
   }
+  db.Finalize();
+  DataQuery q;
+  q.object_type = EntityType::kFile;
+  EXPECT_EQ(IdsOf(db.ExecuteQuery(q)), (std::vector<int64_t>{1, 3, 7, 9}));
 }
 
 TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
@@ -288,13 +287,11 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
       Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}}});
   variants.emplace_back(
       NamedDb{"columnar/indexed+all", Database{DatabaseOptions{.agent_group_size = 2}}});
-  variants.emplace_back(NamedDb{
-      "rowstore", Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false,
-                                           .layout = StorageLayout::kRowStore}}});
   FillDatabase(&reference.db);
   for (NamedDb& v : variants) {
     FillDatabase(&v.db);
   }
+  const ReferenceStore brute_force(reference.db);
 
   ThreadPool pool8(7);
   Rng rng(404);
@@ -303,6 +300,7 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
     DataQuery q = RandomQuery(&rng);
     ScanStats ref_stats;
     std::vector<int64_t> ref_ids = IdsOf(reference.db.ExecuteQuery(q, &ref_stats));
+    EXPECT_EQ(ref_ids, IdsOf(brute_force.ExecuteQuery(q, nullptr))) << "trial " << trial;
     for (NamedDb& v : variants) {
       ScanStats serial_stats;
       EXPECT_EQ(IdsOf(v.db.ExecuteQuery(q, &serial_stats)), ref_ids)
@@ -333,16 +331,15 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
   EXPECT_GT(pruned_entity, 0u);
 }
 
-class MorselEquivalenceTest : public ::testing::TestWithParam<StorageLayout> {};
-
-TEST_P(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
+TEST(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
   // morsel_rows = 7 splits every partition into dozens of chunks, so matches
   // straddle morsel edges constantly; results and strategy-invariant stats
   // must equal the whole-partition (morsel_rows = 0) and serial scans.
-  Database split{DatabaseOptions{.agent_group_size = 2, .layout = GetParam(), .morsel_rows = 7}};
-  Database whole{DatabaseOptions{.agent_group_size = 2, .layout = GetParam(), .morsel_rows = 0}};
+  Database split{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 7}};
+  Database whole{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 0}};
   FillDatabase(&split);
   FillDatabase(&whole);
+  const ReferenceStore reference(split);
   ThreadPool pool8(7);
   Rng rng(505);
   uint64_t split_morsels = 0, whole_morsels = 0;
@@ -350,6 +347,7 @@ TEST_P(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
     DataQuery q = RandomQuery(&rng);
     ScanStats serial_stats, split_stats, whole_stats;
     std::vector<int64_t> serial_ids = IdsOf(split.ExecuteQuery(q, &serial_stats));
+    EXPECT_EQ(serial_ids, IdsOf(reference.ExecuteQuery(q, nullptr))) << "trial " << trial;
     EXPECT_EQ(IdsOf(split.ExecuteQueryParallel(q, &split_stats, &pool8)), serial_ids)
         << "trial " << trial;
     EXPECT_EQ(IdsOf(whole.ExecuteQueryParallel(q, &whole_stats, &pool8)), serial_ids)
@@ -367,14 +365,6 @@ TEST_P(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
   // Splitting produced strictly more work-queue entries over the sweep.
   EXPECT_GT(split_morsels, whole_morsels);
 }
-
-INSTANTIATE_TEST_SUITE_P(Layouts, MorselEquivalenceTest,
-                         ::testing::Values(StorageLayout::kColumnar, StorageLayout::kRowStore),
-                         [](const auto& info) {
-                           return std::string(StorageLayoutName(info.param)) == "columnar"
-                                      ? "Columnar"
-                                      : "RowStore";
-                         });
 
 // --- archive tier ------------------------------------------------------------
 
@@ -406,6 +396,7 @@ TEST(ArchiveEquivalenceTest, ArchivedPartitionsMatchHotAcrossParallelism) {
     EXPECT_GT(f.archived_bytes, 0u) << v.name;
     EXPECT_GE(reference.db.Footprint().hot_column_bytes, 3 * f.archived_bytes) << v.name;
   }
+  const ReferenceStore brute_force(reference.db);
 
   ThreadPool pool8(7);
   Rng rng(606);
@@ -414,6 +405,7 @@ TEST(ArchiveEquivalenceTest, ArchivedPartitionsMatchHotAcrossParallelism) {
     DataQuery q = RandomQuery(&rng);
     ScanStats ref_stats;
     std::vector<int64_t> ref_ids = IdsOf(reference.db.ExecuteQuery(q, &ref_stats));
+    EXPECT_EQ(ref_ids, IdsOf(brute_force.ExecuteQuery(q, nullptr))) << "trial " << trial;
     for (NamedDb& v : variants) {
       // Views from archived partitions are valid while pinned (or cache-
       // resident); pin per execution exactly as the engine's session does.
@@ -518,6 +510,7 @@ TEST(MorselEquivalenceTest, MatchStraddlingMorselEdgeDeterministic) {
   std::vector<int64_t> par_ids = IdsOf(db.ExecuteQueryParallel(q, &par_stats, &pool));
   EXPECT_EQ(serial_ids.size(), 24u);
   EXPECT_EQ(par_ids, serial_ids);
+  EXPECT_EQ(serial_ids, IdsOf(ReferenceStore(db).ExecuteQuery(q, nullptr)));
   EXPECT_EQ(par_stats.events_scanned, serial_stats.events_scanned);
   EXPECT_EQ(par_stats.events_matched, serial_stats.events_matched);
   EXPECT_EQ(par_stats.partitions_scanned, serial_stats.partitions_scanned);
