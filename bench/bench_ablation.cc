@@ -1,4 +1,4 @@
-// Ablation bench for the design choices DESIGN.md calls out (paper §5.2, §7):
+// Ablation bench for the engine's design choices (paper §5.2, §7):
 //   - constrained execution (pushdown) on/off,
 //   - pruning-score relationship ordering on/off,
 //   - time/space storage partitioning on/off,

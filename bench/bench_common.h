@@ -4,8 +4,8 @@
 // synthetic workload. Scale with AIQL_BENCH_SCALE (default 1.0): the default
 // dataset is ~0.5M events (8 hosts x 3 days x 20k events); the paper's
 // deployment was 2.5B events, so absolute times are not comparable — the
-// SHAPE of the comparisons is what the benches reproduce (see
-// EXPERIMENTS.md).
+// SHAPE of the comparisons is what the benches reproduce (see README.md,
+// "Build, test, bench").
 #ifndef AIQL_BENCH_BENCH_COMMON_H_
 #define AIQL_BENCH_BENCH_COMMON_H_
 

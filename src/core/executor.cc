@@ -77,6 +77,9 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
 
 namespace {
 
+// Pushdown is skipped when the candidate value set exceeds this size.
+constexpr size_t kPushdownValueLimit = 262144;
+
 // Applies intra-pattern attribute relationships (e.g. p1.user = f1.owner
 // within one pattern) as a row filter on the pattern's matches.
 void ApplyIntraRels(const QueryContext& ctx, size_t pattern, std::vector<EventView>* events,
@@ -235,7 +238,7 @@ class MultieventExecutor {
       std::unordered_set<Value, ValueHash> distinct;
       for (const auto& row : known.rows()) {
         distinct.insert(EndpointValue(row[source_col], source_side, source_attr, catalog));
-        if (distinct.size() > options_.pushdown_value_limit) {
+        if (distinct.size() > kPushdownValueLimit) {
           return;  // candidate set too large to help
         }
       }

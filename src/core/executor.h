@@ -55,9 +55,6 @@ struct ExecOptions {
   // (hash/temporal joins) or comparisons (nested loops).
   int64_t time_budget_ms = 0;
   size_t max_join_work = 0;
-
-  // Pushdown is skipped when the candidate value set exceeds this size.
-  size_t pushdown_value_limit = 262144;
 };
 
 // Executes the multievent part of a query context, producing the final tuple

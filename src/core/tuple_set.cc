@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace aiql {
 
@@ -42,22 +41,6 @@ int TupleSet::ColumnOf(size_t pattern) const {
     }
   }
   return -1;
-}
-
-std::vector<EventView> TupleSet::DistinctEventsOf(size_t pattern) const {
-  int col = ColumnOf(pattern);
-  std::vector<EventView> out;
-  if (col < 0) {
-    return out;
-  }
-  std::unordered_set<EventView, EventViewHash> seen;
-  for (const auto& row : rows_) {
-    const EventView& e = row[col];
-    if (seen.insert(e).second) {
-      out.push_back(e);
-    }
-  }
-  return out;
 }
 
 void TupleSet::Filter(const Relationship& rel, const EntityCatalog& catalog) {

@@ -57,9 +57,6 @@ class TupleSet {
   int ColumnOf(size_t pattern) const;
   bool Binds(size_t pattern) const { return ColumnOf(pattern) >= 0; }
 
-  // Distinct events bound to `pattern` across all rows (document order).
-  std::vector<EventView> DistinctEventsOf(size_t pattern) const;
-
   // In-place filter by a relationship whose two patterns are both bound.
   void Filter(const Relationship& rel, const EntityCatalog& catalog);
 

@@ -30,7 +30,7 @@ class Matcher {
         max_work_(max_work),
         stats_(stats),
         deadline_(Deadline::After(budget_ms)) {
-    chosen_.assign(ctx.patterns.size(), nullptr);
+    chosen_.assign(ctx.patterns.size(), EventView());
   }
 
  private:
@@ -86,38 +86,39 @@ class Matcher {
       return false;
     }
     // Cross-pattern relationships against already-bound patterns.
+    const EventView self = graph_.EventOf(rel);
     for (const AttrRelation& ar : ctx_.attr_rels) {
-      const Event* le = nullptr;
-      const Event* re = nullptr;
+      EventView le;
+      EventView re;
       if (ar.left_pattern == i && (ar.right_pattern < i || ar.IsIntraPattern())) {
-        le = &rel.origin;
-        re = ar.IsIntraPattern() ? &rel.origin : chosen_[ar.right_pattern];
+        le = self;
+        re = ar.IsIntraPattern() ? self : chosen_[ar.right_pattern];
       } else if (ar.right_pattern == i && ar.left_pattern < i) {
         le = chosen_[ar.left_pattern];
-        re = &rel.origin;
+        re = self;
       } else {
         continue;
       }
-      if (le == nullptr || re == nullptr) {
+      if (!le.valid() || !re.valid()) {
         continue;
       }
-      if (!CheckAttrRel(ar, EventView(le), EventView(re), graph_.catalog())) {
+      if (!CheckAttrRel(ar, le, re, graph_.catalog())) {
         return false;
       }
     }
     for (const TempRelation& tr : ctx_.temp_rels) {
-      const Event* le = nullptr;
-      const Event* re = nullptr;
+      EventView le;
+      EventView re;
       if (tr.left_pattern == i && tr.right_pattern < i) {
-        le = &rel.origin;
+        le = self;
         re = chosen_[tr.right_pattern];
       } else if (tr.right_pattern == i && tr.left_pattern < i) {
         le = chosen_[tr.left_pattern];
-        re = &rel.origin;
+        re = self;
       } else {
         continue;
       }
-      if (!CheckTempRel(tr, EventView(le), EventView(re))) {
+      if (!CheckTempRel(tr, le, re)) {
         return false;
       }
     }
@@ -170,12 +171,7 @@ class Matcher {
 
   Status Recurse(size_t i) {
     if (i == ctx_.patterns.size()) {
-      std::vector<EventView> row;
-      row.reserve(chosen_.size());
-      for (const Event* e : chosen_) {
-        row.push_back(EventView(e));
-      }
-      rows_.push_back(std::move(row));
+      rows_.push_back(chosen_);
       ++stats_->rows_emitted;
       return Status::Ok();
     }
@@ -207,9 +203,9 @@ class Matcher {
       if (bound_obj) {
         bindings_[pc.object_var] = rel.dst;
       }
-      chosen_[i] = &rel.origin;
+      chosen_[i] = graph_.EventOf(rel);
       s = Recurse(i + 1);
-      chosen_[i] = nullptr;
+      chosen_[i] = EventView();
       if (bound_subj) {
         bindings_.erase(pc.subject_var);
       }
@@ -230,7 +226,7 @@ class Matcher {
   Deadline deadline_;
 
   std::unordered_map<std::string, uint32_t> bindings_;
-  std::vector<const Event*> chosen_;
+  std::vector<EventView> chosen_;
   std::vector<std::vector<EventView>> rows_;
 
   friend class ::aiql::GraphEngine;

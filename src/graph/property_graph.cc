@@ -75,7 +75,8 @@ void PropertyGraph::BuildFrom(const Database& db) {
     rel.op = e.op;
     rel.src = node_of_entity_.at(EntityKey(EntityType::kProcess, e.subject_idx));
     rel.dst = node_of_entity_.at(EntityKey(e.object_type, e.object_idx));
-    rel.origin = e;
+    rel.origin = static_cast<uint32_t>(events_.size());
+    events_.Append(e);
     rel.props.emplace("id", Value(e.id));
     rel.props.emplace("agentid", Value(static_cast<int64_t>(e.agent_id)));
     rel.props.emplace("start_time", Value(e.start_time));

@@ -35,9 +35,9 @@ class PropertyGraph {
     uint32_t src = 0;  // subject node
     uint32_t dst = 0;  // object node
     std::unordered_map<std::string, Value> props;
-    // Source event, stored by value: the graph owns its import (the source
-    // database's columnar partitions expose no stable Event pointers).
-    Event origin;
+    // Source event: a row of the graph's own imported-event columns (the
+    // source database's partitions are not guaranteed to outlive the graph).
+    uint32_t origin = 0;
   };
 
   // Imports all entities and events of a finalized database.
@@ -47,6 +47,7 @@ class PropertyGraph {
   size_t num_rels() const { return rels_.size(); }
   const Node& node(uint32_t i) const { return nodes_[i]; }
   const Rel& rel(uint32_t i) const { return rels_[i]; }
+  EventView EventOf(const Rel& rel) const { return EventView(&events_, rel.origin); }
   const EntityCatalog& catalog() const { return *catalog_; }
 
   // Label+property exact index (default attribute), as a Neo4j schema index.
@@ -62,6 +63,7 @@ class PropertyGraph {
   std::shared_ptr<EntityCatalog> catalog_;
   std::vector<Node> nodes_;
   std::vector<Rel> rels_;
+  EventColumns events_;  // imported events, one row per relationship
   std::unordered_map<uint64_t, uint32_t> node_of_entity_;
   std::unordered_map<std::string, std::vector<uint32_t>> property_index_[3];
   std::vector<uint32_t> rels_by_op_[kNumOperations];

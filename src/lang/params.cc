@@ -7,16 +7,6 @@
 
 namespace aiql {
 
-const char* ParamTypeName(ParamType t) {
-  switch (t) {
-    case ParamType::kValue:
-      return "value";
-    case ParamType::kTimestamp:
-      return "timestamp";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string LinePrefix(int line) { return "line " + std::to_string(line) + ": "; }

@@ -24,8 +24,6 @@ enum class ParamType : uint8_t {
   kTimestamp,  // time-window endpoint: needs a parseable datetime string
 };
 
-const char* ParamTypeName(ParamType t);
-
 // One declared parameter of a prepared query.
 struct ParamInfo {
   std::string name;

@@ -150,19 +150,29 @@ class Parser {
   // --- nesting depth -------------------------------------------------------
   // Every recursive step of the three self-nesting grammars (attribute
   // predicates, operation expressions, filter/return expressions) holds one
-  // level for its duration. Past kMaxNestingDepth the parse fails with a
-  // positioned error instead of exhausting the stack.
+  // level for its duration, and so does every step of a left-associative
+  // operator chain (`a + b + c` nests `a + b` one level under the second
+  // `+`; later stages recurse over that tree). Past kMaxNestingDepth the
+  // parse fails with a positioned error instead of exhausting the stack.
   static constexpr int kMaxNestingDepth = 256;
   class DepthGuard {
    public:
-    explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
-    ~DepthGuard() { --*depth_; }
+    explicit DepthGuard(int* depth, int levels = 1) : depth_(depth), levels_(levels) {
+      *depth_ += levels;
+    }
+    ~DepthGuard() { *depth_ -= levels_; }
     DepthGuard(const DepthGuard&) = delete;
     DepthGuard& operator=(const DepthGuard&) = delete;
+    // Holds one more level until the guard goes out of scope.
+    void Deepen() {
+      ++*depth_;
+      ++levels_;
+    }
     bool exceeded() const { return *depth_ > kMaxNestingDepth; }
 
    private:
     int* depth_;
+    int levels_;
   };
   Status NestingTooDeep() const {
     return Status::Error("line " + std::to_string(Cur().line) + ", column " +
@@ -858,6 +868,7 @@ class Parser {
     if (!s.ok()) {
       return s;
     }
+    DepthGuard chain(&depth_, 0);
     for (;;) {
       BinOp op;
       if (Cur().type == TokenType::kStar) {
@@ -866,6 +877,10 @@ class Parser {
         op = BinOp::kDiv;
       } else {
         break;
+      }
+      chain.Deepen();
+      if (chain.exceeded()) {
+        return NestingTooDeep();
       }
       Advance();
       Expr rhs;
@@ -885,6 +900,7 @@ class Parser {
     if (!s.ok()) {
       return s;
     }
+    DepthGuard chain(&depth_, 0);
     for (;;) {
       BinOp op;
       if (Cur().type == TokenType::kPlus) {
@@ -893,6 +909,10 @@ class Parser {
         op = BinOp::kSub;
       } else {
         break;
+      }
+      chain.Deepen();
+      if (chain.exceeded()) {
+        return NestingTooDeep();
       }
       Advance();
       Expr rhs;
@@ -936,6 +956,10 @@ class Parser {
         *out = std::move(lhs);
         return Status::Ok();
     }
+    DepthGuard step(&depth_);
+    if (step.exceeded()) {
+      return NestingTooDeep();
+    }
     Advance();
     Expr rhs;
     s = ParseAddExpr(&rhs);
@@ -952,7 +976,13 @@ class Parser {
     if (!s.ok()) {
       return s;
     }
-    while (Accept(TokenType::kAndAnd)) {
+    DepthGuard chain(&depth_, 0);
+    while (Cur().type == TokenType::kAndAnd) {
+      chain.Deepen();
+      if (chain.exceeded()) {
+        return NestingTooDeep();
+      }
+      Advance();
       Expr rhs;
       s = ParseCmpExpr(&rhs);
       if (!s.ok()) {
@@ -970,7 +1000,13 @@ class Parser {
     if (!s.ok()) {
       return s;
     }
-    while (Accept(TokenType::kOrOr)) {
+    DepthGuard chain(&depth_, 0);
+    while (Cur().type == TokenType::kOrOr) {
+      chain.Deepen();
+      if (chain.exceeded()) {
+        return NestingTooDeep();
+      }
+      Advance();
       Expr rhs;
       s = ParseAndExpr(&rhs);
       if (!s.ok()) {

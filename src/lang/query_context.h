@@ -88,9 +88,6 @@ struct QueryContext {
 
   std::string text;  // original AIQL source
   ast::Query ast;    // original AST (translators introspect it)
-
-  // True if any relationship (or having/return) references this pattern.
-  bool HasRelationships() const { return !attr_rels.empty() || !temp_rels.empty(); }
 };
 
 // Resolves an AST into a QueryContext, applying the context-aware inference

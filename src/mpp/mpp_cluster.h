@@ -8,8 +8,11 @@
 //   kSemanticsAware    — events distributed by hash of (agent, day), the
 //     AIQL data model's placement ("allows Greenplum to evenly distribute
 //     events in a host").
-// Data queries scatter to all segments in parallel and gather merged,
-// order-preserving results; the query engine runs unchanged on top.
+// A data query plans on every segment, then all surviving (segment,
+// partition) pairs scan through the same morsel loop as a single Database
+// (ScanSegments): on the calling thread for ExecuteQuery, pooled on the
+// caller's ThreadPool for ExecuteQueryParallel. Results come back in the
+// same (start_time, id) order; the query engine runs unchanged on top.
 #ifndef AIQL_SRC_MPP_MPP_CLUSTER_H_
 #define AIQL_SRC_MPP_MPP_CLUSTER_H_
 
@@ -17,7 +20,6 @@
 #include <vector>
 
 #include "src/storage/database.h"
-#include "src/util/thread_pool.h"
 
 namespace aiql {
 
@@ -44,17 +46,17 @@ class MppCluster : public EventStore {
   const Database& segment(size_t i) const { return *segments_[i]; }
   size_t num_events() const;
 
-  // EventStore interface: scatter/gather with parallel segment scans. The
-  // optional ScanContext threads cancellation/deadline into the segment and
-  // morsel loops and pins decoded archive columns (each segment owns its own
-  // decode cache; the archive policy is part of segment_options).
+  // EventStore interface. The optional ScanContext threads
+  // cancellation/deadline into the morsel loop and pins decoded archive
+  // columns (each segment owns its own decode cache; the archive policy is
+  // part of segment_options). ExecuteQuery scans every segment's survivors
+  // on the calling thread.
   const EntityCatalog& catalog() const override { return *catalog_; }
   std::vector<EventView> ExecuteQuery(const DataQuery& query, ScanStats* stats,
                                       const ScanContext* ctx = nullptr) const override;
   // Partition-level fan-out on the caller's pool: every segment plans
   // locally, then all surviving (segment, partition) pairs pool into one
-  // morsel queue — finer-grained than the per-segment scatter of
-  // ExecuteQuery, so a query whose matches concentrate in one segment still
+  // morsel queue, so a query whose matches concentrate in one segment still
   // parallelizes.
   std::vector<EventView> ExecuteQueryParallel(const DataQuery& query, ScanStats* stats,
                                               ThreadPool* pool,
@@ -74,7 +76,6 @@ class MppCluster : public EventStore {
   DistributionPolicy policy_;
   std::shared_ptr<EntityCatalog> catalog_;
   std::vector<std::unique_ptr<Database>> segments_;
-  std::unique_ptr<ThreadPool> pool_;
   TimeRange range_{INT64_MAX, INT64_MIN};
 };
 

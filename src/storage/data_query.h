@@ -60,7 +60,7 @@ struct DataQuery {
   }
 };
 
-// Execution statistics, surfaced for tests, ablations, and EXPERIMENTS.md.
+// Execution statistics, surfaced for tests, ablations and the benchmarks.
 // Every field except parallel_morsels is invariant under the execution
 // strategy: serial, morsel-parallel, and day-split scans of the same query
 // aggregate to identical counts (asserted by tests/parallel_scan_test.cc).

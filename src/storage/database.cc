@@ -86,28 +86,16 @@ void Database::Finalize() {
 }
 
 void Database::ApplyArchivePolicy() {
-  const bool by_age = options_.archive_after_days >= 0;
-  const bool by_count = options_.archive_max_hot_partitions > 0;
-  if ((!by_age && !by_count) || partitions_.empty()) {
+  if (options_.archive_after_days < 0 || partitions_.empty()) {
     return;
   }
   // A partition re-finalized after post-archive ingest starts hot again; the
   // stale decode entries of re-archived partitions must not survive either.
   decode_cache_->Clear();
   const int64_t newest_day = partitions_.rbegin()->first.first;
-  // Count-watermark: partitions_ is ordered by (day, group), so walking from
-  // the newest end keeps the `archive_max_hot_partitions` most recent ones.
-  size_t kept_hot = 0;
-  for (auto it = partitions_.rbegin(); it != partitions_.rend(); ++it) {
-    const int64_t age_days = newest_day - it->first.first;
-    bool archive = by_age && age_days >= options_.archive_after_days;
-    if (by_count && kept_hot >= options_.archive_max_hot_partitions) {
-      archive = true;
-    }
-    if (archive) {
-      it->second->Archive();
-    } else {
-      ++kept_hot;
+  for (auto& [key, p] : partitions_) {
+    if (newest_day - key.first >= options_.archive_after_days) {
+      p->Archive();
     }
   }
 }
@@ -363,11 +351,8 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
 
 void Database::ScanPlannedPartition(const ScanPlan& plan, size_t i, std::vector<EventView>* out,
                                     ScanStats* stats, const ScanContext* ctx) const {
-  ++stats->partitions_scanned;
-  PartitionScanArgs args = plan.ArgsFor(i, *catalog_);
-  args.decode_cache = decode_cache_.get();
-  args.pins = ctx != nullptr ? ctx->pins : nullptr;
-  plan.survivors[i]->Execute(args, out, stats);
+  ScanPlannedMorsel(plan, ScanMorsel{static_cast<uint32_t>(i), 0, UINT32_MAX, true}, out, stats,
+                    ctx);
 }
 
 void Database::ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m,
@@ -477,56 +462,69 @@ std::vector<EventView> Database::ExecuteQuery(const DataQuery& q, ScanStats* sta
   return ExecuteQueryParallel(q, stats, nullptr, ctx);
 }
 
-std::vector<EventView> Database::ScanWithPlan(const ScanPlan& plan, ScanStats* stats,
-                                              ThreadPool* pool, const ScanContext* ctx) const {
+std::vector<EventView> ScanSegments(std::span<const SegmentScan> segments, ThreadPool* pool,
+                                    ScanStats* stats, const ScanContext* ctx) {
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
   ScanPinScope pin_scope(ctx);
   ctx = pin_scope.ctx();
-  const size_t n = plan.survivors.size();
+
+  // Serial scans take whole partitions. Pooled scans split large ones into
+  // morsel_rows chunks, so one skewed partition (or segment) cannot serialize
+  // the scan — a single huge survivor still fans out.
+  struct Work {
+    const SegmentScan* segment;
+    ScanMorsel morsel;
+  };
+  std::vector<Work> work;
+  for (const SegmentScan& s : segments) {
+    const uint32_t morsel_rows = pool != nullptr ? s.db->options().morsel_rows : 0;
+    for (const ScanMorsel& m : BuildScanMorsels(*s.plan, morsel_rows)) {
+      work.push_back(Work{&s, m});
+    }
+  }
+  auto scan = [&](const Work& w, std::vector<EventView>* out, ScanStats* into) {
+    w.segment->db->ScanPlannedMorsel(*w.segment->plan, w.morsel, out, into, ctx);
+  };
+
   // Cooperative stop (cancellation / run deadline): checked between morsels,
   // never per row. A stopped scan returns whatever it has — the executor
   // turns the session state into the user-visible error.
-  auto scan_serial = [&] {
+  if (pool == nullptr || work.size() < 2) {
     std::vector<EventView> out;
     std::vector<size_t> run_starts;
-    run_starts.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (ctx != nullptr && ctx->ShouldStop()) {
+    run_starts.reserve(work.size());
+    for (const Work& w : work) {
+      if (ctx->ShouldStop()) {
         break;
       }
       run_starts.push_back(out.size());
-      ScanPlannedPartition(plan, i, &out, st, ctx);
+      scan(w, &out, st);
     }
     MergeSortedRuns(&out, &run_starts);
     return out;
-  };
-  if (pool == nullptr || n == 0) {
-    return scan_serial();
   }
 
-  // Morsel loop: each work-queue entry is a row range of one surviving
-  // partition — small partitions whole, large ones split into morsel_rows
-  // chunks so one skewed partition cannot serialize the scan (a single huge
-  // survivor still fans out). Workers pull the next unclaimed morsel and
-  // write into that morsel's result slot and their own ScanStats, so no scan
-  // state is shared; the merge walks the slots in (partition, row-range)
-  // order regardless of which worker filled them, keeping the output
-  // deterministic.
-  std::vector<ScanMorsel> morsels = BuildScanMorsels(plan, options_.morsel_rows);
-  if (morsels.size() < 2) {
-    return scan_serial();
-  }
-  std::vector<std::vector<EventView>> slots(morsels.size());
+  // Workers pull the next unclaimed morsel and write into that morsel's slot
+  // and their own ScanStats, so no scan state is shared; the merge walks the
+  // slots in list order regardless of which worker filled them, keeping the
+  // output deterministic.
+  std::vector<std::vector<EventView>> slots(work.size());
   std::vector<ScanStats> worker_stats(pool->max_participants());
-  pool->RunBulk(morsels.size(), [&](size_t worker, size_t m) {
-    if (ctx != nullptr && ctx->ShouldStop()) {
+  pool->RunBulk(work.size(), [&](size_t worker, size_t i) {
+    if (ctx->ShouldStop()) {
       return;  // claimed but skipped: the queue drains without scanning
     }
-    ScanPlannedMorsel(plan, morsels[m], &slots[m], &worker_stats[worker], ctx);
+    scan(work[i], &slots[i], &worker_stats[worker]);
   });
-  st->parallel_morsels += morsels.size();
+  st->parallel_morsels += work.size();
   return MergeMorselResults(&slots, worker_stats, st);
+}
+
+std::vector<EventView> Database::ScanWithPlan(const ScanPlan& plan, ScanStats* stats,
+                                              ThreadPool* pool, const ScanContext* ctx) const {
+  const SegmentScan self{this, &plan};
+  return ScanSegments({&self, 1}, pool, stats, ctx);
 }
 
 std::vector<EventView> Database::ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,

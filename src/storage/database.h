@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -45,7 +46,7 @@ enum class PartitionScheme : uint8_t {
 
 // Phase 1 of a data-query execution: everything that is computed once per
 // query and then shared read-only by every partition scan. Produced by
-// Database::PlanQuery, consumed by Database::ScanPlannedPartition — either
+// Database::PlanQuery, consumed by Database::ScanPlannedMorsel — either
 // serially or from multiple morsel workers at once. Holds a pointer to the
 // caller's DataQuery; the plan must not outlive it.
 struct ScanPlan {
@@ -82,10 +83,10 @@ struct ScanPlan {
   }
 };
 
-// One entry of a parallel scan's work queue: a row range of one surviving
-// partition. Large partitions decompose into several fixed-size morsels so
-// skewed (day, agent-group) distributions load-balance; small ones stay
-// whole.
+// One entry of a scan's work queue: a row range of one surviving partition.
+// For a pooled scan, large partitions decompose into several fixed-size
+// morsels so skewed (day, agent-group) distributions load-balance; small ones
+// stay whole.
 struct ScanMorsel {
   uint32_t survivor = 0;   // index into ScanPlan::survivors
   uint32_t begin_row = 0;  // row clamp within the partition
@@ -109,10 +110,10 @@ std::vector<ScanMorsel> BuildScanMorsels(const ScanPlan& plan, uint32_t morsel_r
 // of the O(n log n) full sort. Consumes `run_starts`.
 void MergeSortedRuns(std::vector<EventView>* events, std::vector<size_t>* run_starts);
 
-// The shared epilogue of a morsel-driven scan (Database and MppCluster):
-// concatenates per-morsel result slots in slot order (never completion
-// order), folds the per-worker stats into `stats`, and restores the
-// (start_time, id) order by merging the slots' sorted runs. Consumes `slots`.
+// The epilogue of a pooled morsel scan (see ScanSegments): concatenates
+// per-morsel result slots in slot order (never completion order), folds the
+// per-worker stats into `stats`, and restores the (start_time, id) order by
+// merging the slots' sorted runs. Consumes `slots`.
 std::vector<EventView> MergeMorselResults(std::vector<std::vector<EventView>>* slots,
                                           const std::vector<ScanStats>& worker_stats,
                                           ScanStats* stats);
@@ -137,9 +138,6 @@ struct DatabaseOptions {
   // every partition, < 0 disables archiving. Results are identical either
   // way — archiving trades cold-scan decode time for resident memory.
   int64_t archive_after_days = -1;
-  // Partition-count watermark: > 0 additionally archives all but the N
-  // newest-day partitions, independent of age. 0 = no watermark.
-  size_t archive_max_hot_partitions = 0;
   // Capacity (in partitions) of the archived-partition decode cache.
   size_t decode_cache_partitions = 8;
   // Capacity (in entries) of the scan-plan caches the prepare/bind/execute
@@ -180,7 +178,7 @@ class Database : public EventStore {
   void AppendRaw(const Event& e);
 
   // Sorts partitions, builds all indexes, and applies the archive policy
-  // (archive_after_days / archive_max_hot_partitions). Idempotent.
+  // (archive_after_days). Idempotent.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -210,10 +208,10 @@ class Database : public EventStore {
   // (start_time, id) so that all engines and schedulers produce
   // deterministic, comparable output. Partitions are skipped via scheme keys
   // and zone maps before any scan. `ctx` (optional) carries the run's
-  // cancellation flag / deadline — checked between partition scans, so a
-  // cancelled session stops after the current morsel instead of finishing
-  // the plan — and the pin sink that keeps decoded archive columns alive for
-  // the caller (see ScanContext).
+  // cancellation flag / deadline — checked between morsels, so a cancelled
+  // session stops after the current morsel instead of finishing the plan —
+  // and the pin sink that keeps decoded archive columns alive for the caller
+  // (see ScanContext).
   std::vector<EventView> ExecuteQuery(const DataQuery& q, ScanStats* stats = nullptr,
                                       const ScanContext* ctx = nullptr) const override;
 
@@ -222,8 +220,8 @@ class Database : public EventStore {
   // writing into its own result slot and per-worker ScanStats. Slots merge in
   // partition order, so results are identical to ExecuteQuery — same events,
   // same (start_time, id) order, same aggregate stats (plus parallel_morsels).
-  // Falls back to the serial scan loop when `pool` is null or fewer than two
-  // partitions survive pruning.
+  // Scans serially when `pool` is null or the plan yields fewer than two
+  // morsels.
   std::vector<EventView> ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,
                                               ThreadPool* pool,
                                               const ScanContext* ctx = nullptr) const override;
@@ -247,9 +245,8 @@ class Database : public EventStore {
     return options_.plan_cache_capacity == 0 ? 1 : options_.plan_cache_capacity;
   }
 
-  // The scan phase of an already-computed plan: serial when `pool` is null or
-  // fewer than two partitions survived, morsel-parallel otherwise. Shared by
-  // ExecuteQueryParallel and the plan-cache hit path.
+  // The scan phase of an already-computed plan (ScanSegments over this one
+  // segment). Shared by ExecuteQueryParallel and the plan-cache hit path.
   std::vector<EventView> ScanWithPlan(const ScanPlan& plan, ScanStats* stats, ThreadPool* pool,
                                       const ScanContext* ctx = nullptr) const;
 
@@ -258,11 +255,11 @@ class Database : public EventStore {
   // provably matches nothing before any partition is considered (op-mask
   // contradiction, empty candidate entity set) — in that case no pruning
   // counters move, matching the historical serial behavior. Partitions
-  // pruned during planning do count into `stats`. ScanPlannedPartition scans
-  // plan.survivors[i], appending matches in time order to `out` (not
-  // globally sorted — callers merge and sort). ScanPlannedMorsel scans one
-  // row-range morsel (see BuildScanMorsels) and accounts partitions_scanned
-  // on the morsel marked `first`.
+  // pruned during planning do count into `stats`. ScanPlannedMorsel scans one
+  // row-range morsel (see BuildScanMorsels), appending matches in time order
+  // to `out` (not globally sorted — callers merge), and accounts
+  // partitions_scanned on the morsel marked `first`. ScanPlannedPartition
+  // scans plan.survivors[i] as one whole-partition morsel.
   std::optional<ScanPlan> PlanQuery(const DataQuery& q, ScanStats* stats) const;
   void ScanPlannedPartition(const ScanPlan& plan, size_t i, std::vector<EventView>* out,
                             ScanStats* stats, const ScanContext* ctx = nullptr) const;
@@ -280,8 +277,7 @@ class Database : public EventStore {
   // Builds the per-(type, default-attribute) exact hash indexes.
   void BuildEntityIndexes();
 
-  // Applies archive_after_days / archive_max_hot_partitions after all
-  // partitions are finalized.
+  // Applies archive_after_days after all partitions are finalized.
   void ApplyArchivePolicy();
 
   DatabaseOptions options_;
@@ -305,6 +301,25 @@ class Database : public EventStore {
   std::unordered_map<std::string, std::vector<uint32_t>> proc_exe_index_;
   std::unordered_map<std::string, std::vector<uint32_t>> net_dstip_index_;
 };
+
+// One segment's share of a scan: a store and a plan that store made.
+struct SegmentScan {
+  const Database* db = nullptr;
+  const ScanPlan* plan = nullptr;
+};
+
+// The one scan loop behind Database::ScanWithPlan and both MppCluster entry
+// points. It pins decoded archive columns for the whole call (ScanPinScope),
+// lists the survivors of every segment as morsels in (segment, partition,
+// row-range) order, and checks the context's stop flag between morsels.
+// Without a pool (or with fewer than two morsels) it scans whole partitions
+// on the calling thread, appending one sorted run per morsel to a single
+// output. With a pool it splits large partitions into each segment's
+// morsel_rows chunks, scans them on RunBulk into per-morsel slots and
+// per-worker stats, counts them in parallel_morsels and merges the slots in
+// list order. Either way the result is in (start_time, id) order.
+std::vector<EventView> ScanSegments(std::span<const SegmentScan> segments, ThreadPool* pool,
+                                    ScanStats* stats, const ScanContext* ctx);
 
 }  // namespace aiql
 

@@ -250,9 +250,4 @@ std::optional<Value> EntityCatalog::AttrOf(EntityType t, uint32_t idx,
   return std::nullopt;
 }
 
-std::string EntityCatalog::LabelOf(EntityType t, uint32_t idx) const {
-  auto v = AttrOf(t, idx, DefaultAttribute(t));
-  return v ? v->ToString() : "?";
-}
-
 }  // namespace aiql

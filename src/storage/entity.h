@@ -122,9 +122,6 @@ class EntityCatalog {
   AgentId AgentOf(EntityType t, uint32_t idx) const;
   std::optional<Value> AttrOf(EntityType t, uint32_t idx, std::string_view attr) const;
 
-  // Human-readable label (default attribute value) used in result tables.
-  std::string LabelOf(EntityType t, uint32_t idx) const;
-
   size_t total_entities() const { return files_.size() + processes_.size() + networks_.size(); }
 
  private:

@@ -39,11 +39,6 @@ std::optional<Operation> ParseOperation(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<Value> GetEventAttr(const Event& e, const EntityCatalog& catalog,
-                                  std::string_view attr) {
-  return GetEventAttr(EventView(&e), catalog, attr);
-}
-
 std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catalog,
                                   std::string_view attr) {
   if (attr == "id") {

@@ -55,10 +55,7 @@ struct Event {
   int32_t failure_code = 0;  // 0 = success
 };
 
-// Event attribute access by name (for event-level predicates such as
-// evt[amount > 1000] and for return items like evt1.optype).
-std::optional<Value> GetEventAttr(const Event& e, const EntityCatalog& catalog,
-                                  std::string_view attr);
+// True when `attr` names an event attribute GetEventAttr (event_view.h) reads.
 bool IsEventAttr(std::string_view attr);
 
 }  // namespace aiql

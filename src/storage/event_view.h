@@ -1,5 +1,4 @@
-// Columnar event storage (structure-of-arrays) and the layout-agnostic
-// EventView handle.
+// Columnar event storage (structure-of-arrays) and the EventView handle.
 //
 // The AIQL hot path touches only 2-3 event attributes per query (op, time,
 // one entity side); a row-oriented std::vector<Event> pays the full 64-byte
@@ -8,16 +7,14 @@
 // streams exactly the columns a query constrains.
 //
 // EventView is the engine-wide currency for a matched event: a cheap handle
-// that reads either a columnar row (partition storage after Finalize) or a
-// plain Event (the property-graph baseline, tests).
+// to one row of an EventColumns (partition storage after Finalize, the
+// property-graph baseline's imported events, the tests' reference store).
 // Joins, tuple sets, and projection consume EventViews without ever
 // materializing Event copies.
 #ifndef AIQL_SRC_STORAGE_EVENT_VIEW_H_
 #define AIQL_SRC_STORAGE_EVENT_VIEW_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/storage/event.h"
@@ -100,78 +97,49 @@ struct EventColumns {
   }
 };
 
-// Cheap handle to one event in either layout. Identity (equality/hash) is the
-// storage slot, matching the pointer identity the engine relied on when it
-// passed `const Event*` around.
+// Cheap handle to one event: a row of an EventColumns. Identity
+// (equality) is the storage slot, so two views of the same row compare equal.
 class EventView {
  public:
   EventView() = default;
-  explicit EventView(const Event* e) : ev_(e) {}
   EventView(const EventColumns* cols, uint32_t row) : cols_(cols), row_(row) {}
 
-  bool valid() const { return ev_ != nullptr || cols_ != nullptr; }
+  bool valid() const { return cols_ != nullptr; }
 
-  int64_t id() const { return ev_ != nullptr ? ev_->id : cols_->id[row_]; }
-  int64_t seq() const { return ev_ != nullptr ? ev_->seq : cols_->seq[row_]; }
-  AgentId agent_id() const { return ev_ != nullptr ? ev_->agent_id : cols_->agent_id[row_]; }
-  Operation op() const { return ev_ != nullptr ? ev_->op : cols_->op[row_]; }
-  EntityType object_type() const {
-    return ev_ != nullptr ? ev_->object_type : cols_->object_type[row_];
-  }
-  uint32_t subject_idx() const {
-    return ev_ != nullptr ? ev_->subject_idx : cols_->subject_idx[row_];
-  }
-  uint32_t object_idx() const {
-    return ev_ != nullptr ? ev_->object_idx : cols_->object_idx[row_];
-  }
-  TimestampMs start_time() const {
-    return ev_ != nullptr ? ev_->start_time : cols_->start_time[row_];
-  }
-  TimestampMs end_time() const { return ev_ != nullptr ? ev_->end_time : cols_->end_time[row_]; }
-  int64_t amount() const { return ev_ != nullptr ? ev_->amount : cols_->amount[row_]; }
-  int32_t failure_code() const {
-    return ev_ != nullptr ? ev_->failure_code : cols_->failure_code[row_];
-  }
+  int64_t id() const { return cols_->id[row_]; }
+  int64_t seq() const { return cols_->seq[row_]; }
+  AgentId agent_id() const { return cols_->agent_id[row_]; }
+  Operation op() const { return cols_->op[row_]; }
+  EntityType object_type() const { return cols_->object_type[row_]; }
+  uint32_t subject_idx() const { return cols_->subject_idx[row_]; }
+  uint32_t object_idx() const { return cols_->object_idx[row_]; }
+  TimestampMs start_time() const { return cols_->start_time[row_]; }
+  TimestampMs end_time() const { return cols_->end_time[row_]; }
+  int64_t amount() const { return cols_->amount[row_]; }
+  int32_t failure_code() const { return cols_->failure_code[row_]; }
 
-  Event Materialize() const { return ev_ != nullptr ? *ev_ : cols_->Materialize(row_); }
+  Event Materialize() const { return cols_->Materialize(row_); }
 
-  bool operator==(const EventView& o) const {
-    return ev_ == o.ev_ && cols_ == o.cols_ && (cols_ == nullptr || row_ == o.row_);
-  }
+  bool operator==(const EventView& o) const { return cols_ == o.cols_ && row_ == o.row_; }
   bool operator!=(const EventView& o) const { return !(*this == o); }
-
-  size_t SlotHash() const {
-    size_t h = std::hash<const void*>{}(ev_ != nullptr ? static_cast<const void*>(ev_)
-                                                       : static_cast<const void*>(cols_));
-    return h ^ (std::hash<uint32_t>{}(row_) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-  }
 
  private:
   const EventColumns* cols_ = nullptr;
-  const Event* ev_ = nullptr;
   uint32_t row_ = 0;
 };
 
-struct EventViewHash {
-  size_t operator()(const EventView& v) const { return v.SlotHash(); }
-};
+// Tuple sets hold millions of views; keep the handle at two words.
+static_assert(sizeof(EventView) == 16);
 
-// Event attribute access by name over either layout; the Event overload in
-// event.h delegates here, so this is the single attribute-name dispatch.
+// Event attribute access by name (for event-level predicates such as
+// evt[amount > 1000] and for return items like evt1.optype).
 std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catalog,
                                   std::string_view attr);
 
 // The engine-wide result ordering contract: every EventStore returns matches
-// sorted by (start_time, id). Stores emit partition/segment results in time
-// order, so the common case is detected as already sorted in one pass.
+// sorted by (start_time, id).
 inline bool EventViewTimeIdLess(const EventView& a, const EventView& b) {
   return a.start_time() != b.start_time() ? a.start_time() < b.start_time() : a.id() < b.id();
-}
-
-inline void SortByTimeThenId(std::vector<EventView>* events) {
-  if (!std::is_sorted(events->begin(), events->end(), EventViewTimeIdLess)) {
-    std::sort(events->begin(), events->end(), EventViewTimeIdLess);
-  }
 }
 
 }  // namespace aiql

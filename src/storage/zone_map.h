@@ -158,10 +158,6 @@ struct CompiledEventPred {
   OpMask op_mask = kAllOps;            // refinement from optype constraints
   std::vector<ColumnFilter> filters;   // conjunctive column comparisons
   PredExpr residual;                   // whatever could not be vectorized
-
-  bool TriviallyTrue() const {
-    return op_mask == kAllOps && filters.empty() && residual.is_true();
-  }
 };
 
 // Splits the top-level conjunction of `pred`. Semantics are preserved

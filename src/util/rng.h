@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace aiql {
 
@@ -35,25 +34,6 @@ class Rng {
   double Uniform() { return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0); }
 
   bool Chance(double p) { return Uniform() < p; }
-
-  // Picks an index according to (unnormalized) weights. Empty weights -> 0.
-  size_t Weighted(const std::vector<double>& weights) {
-    double total = 0;
-    for (double w : weights) {
-      total += w;
-    }
-    if (total <= 0) {
-      return 0;
-    }
-    double x = Uniform() * total;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      x -= weights[i];
-      if (x < 0) {
-        return i;
-      }
-    }
-    return weights.size() - 1;
-  }
 
   // Zipf-ish skewed pick over [0, n): a few items dominate, the tail is long.
   // Used to emulate hot processes/files in the synthetic trace.

@@ -530,8 +530,6 @@ void Workload::InjectAbnormal() {
   }
 }
 
-void Workload::BuildBackgroundOnly() { GenerateBackground(); }
-
 void Workload::Build() {
   assert(config_.trace.num_hosts >= 6 && "scenario roles need at least 6 hosts");
   GenerateBackground();

@@ -1,5 +1,5 @@
 // Synthetic enterprise workload: the substitute for the paper's 150-host
-// deployment (DESIGN.md §2).
+// deployment (§6.1).
 //
 // The trace generator produces background system activity (file I/O, process
 // trees, network flows) per host per day with deterministic seeds; the attack
@@ -65,9 +65,6 @@ class Workload {
   // Generates background noise and injects every attack scenario. Call once,
   // before Database::Finalize().
   void Build();
-
-  // Background only (for micro-benches and tests).
-  void BuildBackgroundOnly();
 
   const ScenarioConfig& config() const { return config_; }
 

@@ -5,10 +5,12 @@
 #include <functional>
 #include <string>
 
+#include "src/core/engine.h"
 #include "src/lang/lexer.h"
 #include "src/lang/params.h"
 #include "src/lang/parser.h"
 #include "src/lang/query_context.h"
+#include "src/storage/database.h"
 
 namespace aiql {
 namespace {
@@ -273,6 +275,38 @@ TEST(ParserErrorTest, DeepFilterExpressionNestingIsPositionedError) {
   ExpectNestingLimit([](size_t depth) {
     return "proc p1 write file f1 as evt1 return " + Parenthesized(depth, "p1");
   });
+}
+
+// Unnested operator chains build left-deep trees that later stages recurse
+// over, so each chain step counts as a nesting level: a 100,000-term chain
+// used to parse and then overflow the stack in Execute.
+std::string ReturnChain(size_t terms, const std::string& op) {
+  std::string expr = "1";
+  for (size_t i = 1; i < terms; ++i) {
+    expr += " " + op + " 1";
+  }
+  return "proc p1 write file f1 as evt1 return p1, " + expr + " as n";
+}
+
+TEST(ParserErrorTest, LongOperatorChainsAreBoundedLikeNesting) {
+  Database db;
+  const uint32_t p = db.catalog().InternProcess(1, 10, "/bin/p", "root");
+  const uint32_t f = db.catalog().InternFile(1, "/d/f");
+  db.RecordEvent(1, p, Operation::kWrite, EntityType::kFile, f, MakeTimestamp(2017, 1, 1));
+  db.Finalize();
+  const AiqlEngine engine(&db);
+
+  for (const char* op : {"+", "*", "&&", "||"}) {
+    auto deep = engine.Execute(ReturnChain(100000, op));
+    ASSERT_FALSE(deep.ok()) << op;
+    EXPECT_NE(deep.error().find("nesting too deep (more than 256 levels)"), std::string::npos)
+        << deep.error();
+    EXPECT_NE(deep.error().find("line 1, column "), std::string::npos) << deep.error();
+  }
+  auto shallow = engine.Execute(ReturnChain(200, "+"));
+  ASSERT_TRUE(shallow.ok()) << shallow.error();
+  ASSERT_EQ(shallow.value().num_rows(), 1u);
+  EXPECT_EQ(shallow.value().rows()[0][1].ToString(), "200");
 }
 
 // --- inference ---

@@ -1,7 +1,8 @@
 // ReferenceStore: the brute-force EventStore every storage equivalence test
 // compares against. It copies the events out of a store (anything with
-// catalog() and ForEachEvent(), i.e. a Database) and answers each DataQuery
-// by testing every constraint on every event directly. It shares no sorting,
+// catalog() and ForEachEvent(), i.e. a Database) into its own EventColumns,
+// in (start_time, id) order, and answers each DataQuery by testing every
+// constraint on every event directly. It shares no sorting,
 // pruning, planning, index or scan code with the system under test, so a bug
 // in any of those shows up as a mismatch instead of agreeing with itself.
 #ifndef AIQL_TESTS_REFERENCE_STORE_H_
@@ -19,15 +20,21 @@ class ReferenceStore : public EventStore {
  public:
   template <typename Source>
   explicit ReferenceStore(const Source& source) : catalog_(source.catalog()) {
-    source.ForEachEvent([&](const Event& e) { events_.push_back(e); });
-    std::sort(events_.begin(), events_.end(), [](const Event& a, const Event& b) {
+    std::vector<Event> events;
+    source.ForEachEvent([&](const Event& e) { events.push_back(e); });
+    std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
       return a.start_time != b.start_time ? a.start_time < b.start_time : a.id < b.id;
     });
-    for (const Event& e : events_) {
+    events_.Reserve(events.size());
+    for (const Event& e : events) {
+      events_.Append(e);
       range_.begin = std::min(range_.begin, e.start_time);
       range_.end = std::max(range_.end, e.start_time + 1);
     }
   }
+  // Views point into events_, so the store stays where it was built.
+  ReferenceStore(const ReferenceStore&) = delete;
+  ReferenceStore& operator=(const ReferenceStore&) = delete;
 
   const EntityCatalog& catalog() const override { return catalog_; }
   TimeRange data_time_range() const override { return range_; }
@@ -41,17 +48,18 @@ class ReferenceStore : public EventStore {
     const auto object_agents =
         q.object_type == EntityType::kProcess ? std::nullopt : q.agent_ids;
     std::vector<EventView> out;
-    for (const Event& e : events_) {
-      if ((OpBit(e.op) & q.op_mask) == 0 || e.object_type != q.object_type ||
-          !range.Contains(e.start_time) || !Allows(q.agent_ids, e.agent_id) ||
-          !EntityMatches(EntityType::kProcess, e.subject_idx, q.subject_pred,
+    for (uint32_t row = 0; row < events_.size(); ++row) {
+      const EventView e(&events_, row);
+      if ((OpBit(e.op()) & q.op_mask) == 0 || e.object_type() != q.object_type ||
+          !range.Contains(e.start_time()) || !Allows(q.agent_ids, e.agent_id()) ||
+          !EntityMatches(EntityType::kProcess, e.subject_idx(), q.subject_pred,
                          q.subject_candidates, q.agent_ids) ||
-          !EntityMatches(q.object_type, e.object_idx, q.object_pred, q.object_candidates,
+          !EntityMatches(q.object_type, e.object_idx(), q.object_pred, q.object_candidates,
                          object_agents) ||
           !q.event_pred.Eval([&](std::string_view a) { return GetEventAttr(e, catalog_, a); })) {
         continue;
       }
-      out.push_back(EventView(&e));
+      out.push_back(e);
     }
     if (stats != nullptr) {
       stats->events_scanned += events_.size();
@@ -79,7 +87,7 @@ class ReferenceStore : public EventStore {
   }
 
   const EntityCatalog& catalog_;
-  std::vector<Event> events_;  // (start_time, id) order: the result order
+  EventColumns events_;  // (start_time, id) order: the result order
   TimeRange range_{INT64_MAX, INT64_MIN};
 };
 

@@ -207,8 +207,7 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
   Rng rng(13);
   for (int trial = 0; trial < 30; ++trial) {
     // 1-5 runs of sorted events with overlapping time ranges.
-    std::vector<Event> storage;
-    storage.reserve(200);
+    EventColumns storage;
     std::vector<size_t> run_starts;
     std::vector<std::vector<TimestampMs>> runs(1 + rng.Below(5));
     int64_t id = 1;
@@ -225,15 +224,15 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
         Event e;
         e.id = id++;
         e.start_time = t;
-        storage.push_back(e);
+        storage.Append(e);
       }
     }
     std::vector<EventView> views;
-    for (const Event& e : storage) {
-      views.push_back(EventView(&e));
+    for (uint32_t row = 0; row < storage.size(); ++row) {
+      views.push_back(EventView(&storage, row));
     }
     std::vector<EventView> expected = views;
-    SortByTimeThenId(&expected);
+    std::sort(expected.begin(), expected.end(), EventViewTimeIdLess);
     MergeSortedRuns(&views, &run_starts);
     EXPECT_EQ(IdsOf(views), IdsOf(expected)) << "trial " << trial;
   }

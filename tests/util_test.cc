@@ -207,18 +207,6 @@ TEST(ThreadPoolTest, ParallelForRunsAll) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
-TEST(ThreadPoolTest, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagates) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, RunBulkRunsEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   constexpr size_t kN = 1000;
