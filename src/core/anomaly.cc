@@ -1,9 +1,11 @@
 #include "src/core/anomaly.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <cstdint>
+#include <optional>
+#include <span>
 
+#include "src/core/aggregate.h"
 #include "src/core/projector.h"
 
 namespace aiql {
@@ -52,21 +54,61 @@ double Ewma(const std::vector<double>& series, double alpha) {
 
 namespace {
 
-// Per-group state series: alias -> value per completed window.
-struct GroupState {
-  std::vector<Value> key;
-  std::unordered_map<std::string, std::vector<double>> series;
-  bool seen_this_window = false;
+// A moving-average call of the having clause, compiled once per query: it
+// reads the series of `alias_slot` plus the current window's value.
+struct MovingAverage {
+  int alias_slot = -1;  // -1: an alias no return item defines
+  int out_slot = -1;    // slot of the call's rendered text
+  std::string func;
+  double param = 0;
+
+  double Compute(std::vector<std::vector<double>>* series, const AliasEnv& env) const {
+    static const std::vector<double> kNone;
+    std::vector<double>* s = alias_slot >= 0 ? &(*series)[alias_slot] : nullptr;
+    const bool current = alias_slot >= 0 && env.Computed(alias_slot).has_value();
+    if (current) {
+      s->push_back(env.Computed(alias_slot)->as_double());
+    }
+    const std::vector<double>& xs = s != nullptr ? *s : kNone;
+    // Lookbacks past any series length act alike; the clamp keeps the cast
+    // defined.
+    const size_t n = param > 0 ? static_cast<size_t>(std::min(param, 1e18)) : 3;
+    double result = 0;
+    if (func == "sma") {
+      result = Sma(xs, n);
+    } else if (func == "cma") {
+      result = Cma(xs);
+    } else if (func == "wma") {
+      result = Wma(xs, n);
+    } else if (func == "ewma") {
+      result = Ewma(xs, param > 0 ? param : 0.9);
+    }
+    if (current) {
+      s->pop_back();
+    }
+    return result;
+  }
 };
 
-std::string KeyString(const std::vector<Value>& key) {
-  std::string out;
-  for (const Value& v : key) {
-    out += v.ToString();
-    out.push_back('\x1f');
+std::vector<MovingAverage> CompileMovingAverages(const QueryContext& ctx, const AliasEnv& env) {
+  std::vector<MovingAverage> out;
+  if (!ctx.having.has_value()) {
+    return out;
   }
+  ctx.having->Any([&](const Expr& e) {
+    if (e.IsMovingAverageCall() && !e.children.empty()) {
+      out.push_back({.alias_slot = env.SlotOf(e.children[0].name),
+                     .out_slot = env.SlotOf(e.ToString()),
+                     .func = e.func,
+                     .param = e.children.size() > 1 ? e.children[1].number : 0});
+    }
+    return false;  // keep traversing
+  });
   return out;
 }
+
+// How many windows run between two reads of the clock for the time budget.
+constexpr size_t kWindowsPerDeadlineCheck = 64;
 
 }  // namespace
 
@@ -100,12 +142,13 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
     return Result<ResultTable>::Error("execution budget exceeded: time limit reached");
   }
   st->pattern_matches[0] = events.size();
+  const EntityCatalog& catalog = db.catalog();
   // Intra-pattern attribute relationships filter single events.
   for (const AttrRelation& rel : ctx.attr_rels) {
     if (rel.IsIntraPattern()) {
       size_t w = 0;
       for (size_t i = 0; i < events.size(); ++i) {
-        if (CheckAttrRel(rel, events[i], events[i], db.catalog())) {
+        if (CheckAttrRel(rel, events[i], events[i], catalog)) {
           events[w++] = events[i];
         }
       }
@@ -113,185 +156,150 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
     }
   }
 
-  // Windows are anchored at the query's declared time window (inference
-  // guarantees it is bounded); anchoring at the data's first event would make
-  // window alignment depend on unrelated events.
-  TimeRange range = ctx.global_time;
-  std::vector<size_t> pattern_order{0};
-  std::vector<const Expr*> agg_calls = CollectAggregateCalls(ctx);
-
   std::vector<std::string> columns{"window"};
   for (const OutputItem& item : ctx.items) {
     columns.push_back(item.name);
   }
   ResultTable table(columns);
 
-  std::map<std::string, GroupState> groups;
+  // Everything the window loop reads by name is resolved here, once.
+  const std::vector<int> pattern_cols = PatternColumns({0});
+  AliasEnv env(ctx);
+  GroupAggregates aggregates(ctx, env, pattern_cols, catalog);
+  std::vector<int> item_slots;
+  for (const OutputItem& item : ctx.items) {
+    item_slots.push_back(env.SlotOf(item.name));
+  }
+  std::vector<int> key_slots;
+  for (const OutputItem& g : ctx.group_by) {
+    key_slots.push_back(env.SlotOf(g.name));
+  }
+  const std::vector<MovingAverage> moving_averages = CompileMovingAverages(ctx, env);
+
+  // Group state. An event's group is evaluated the first time a window holds
+  // it; a group becomes active in the first window that holds one of its
+  // events and is then visited in every window (absent groups record their
+  // aggregates over no events, so history offsets stay aligned), in
+  // key-string order.
+  constexpr uint32_t kNoGroup = UINT32_MAX;
+  GroupIndex groups(ctx.group_by, pattern_cols, catalog);
+  std::vector<uint32_t> group_of(events.size(), kNoGroup);
+  std::vector<std::vector<std::vector<double>>> series;  // group -> slot -> past windows
+  std::vector<std::vector<uint32_t>> bucket;             // group -> this window's events
+  std::vector<uint32_t> touched;                         // groups with a non-empty bucket
+  std::vector<uint32_t> active;                          // in key-string order
+  std::vector<Value> values(ctx.items.size());
+  auto key_less = [&](uint32_t a, uint32_t b) { return groups.KeyLess(a, b); };
+  auto view_of = [&](uint32_t i) { return std::span<const EventView>(&events[i], 1); };
 
   // Events are sorted by start_time; window membership via binary search.
   auto lower = [&](TimestampMs t) {
-    return std::lower_bound(events.begin(), events.end(), t,
-                            [](const EventView& e, TimestampMs x) { return e.start_time() < x; });
+    return static_cast<uint32_t>(
+        std::lower_bound(events.begin(), events.end(), t,
+                         [](const EventView& e, TimestampMs x) { return e.start_time() < x; }) -
+        events.begin());
   };
 
-  for (TimestampMs ws = range.begin; ws < range.end; ws += step) {
+  // Windows are anchored at the query's declared time window (inference
+  // guarantees it is bounded); anchoring at the data's first event would make
+  // window alignment depend on unrelated events.
+  const TimeRange range = ctx.global_time;
+  size_t windows = 0;
+  for (TimestampMs ws = range.begin; ws < range.end; ws += step, ++windows) {
     if (session->IsCancelled()) {
       return Result<ResultTable>::Error("execution cancelled");
     }
-    TimestampMs we = std::min<TimestampMs>(ws + window, range.end);
-    auto first = lower(ws);
-    auto last = lower(we);
-
-    // Bucket this window's events by group key.
-    std::map<std::string, std::vector<std::vector<EventView>>> window_rows;
-    for (auto it = first; it != last; ++it) {
-      std::vector<EventView> row{*it};
-      RowAccessor acc(row, pattern_order, db.catalog());
-      std::vector<Value> key;
-      for (const OutputItem& g : ctx.group_by) {
-        key.push_back(EvalScalarExpr(g.expr, &acc, nullptr).value_or(Value()));
-      }
-      std::string ks = KeyString(key);
-      auto& state = groups[ks];
-      if (state.key.empty() && !key.empty()) {
-        state.key = key;
-      }
-      window_rows[ks].push_back(std::move(row));
+    if (windows % kWindowsPerDeadlineCheck == 0 && scan_ctx.deadline.Expired()) {
+      return Result<ResultTable>::Error("execution budget exceeded: time limit reached");
     }
+    const TimestampMs we = std::min<TimestampMs>(ws + window, range.end);
 
-    // Update every known group (groups absent in this window record 0s so
-    // that history offsets stay aligned across windows).
-    for (auto& [ks, state] : groups) {
-      auto rows_it = window_rows.find(ks);
-      static const std::vector<std::vector<EventView>> kNoRows;
-      const auto& rows = rows_it != window_rows.end() ? rows_it->second : kNoRows;
+    // Bucket this window's events by group; activate the groups seen first.
+    const size_t num_active = active.size();
+    for (uint32_t i = lower(ws), last = lower(we); i < last; ++i) {
+      if (group_of[i] == kNoGroup) {
+        group_of[i] = groups.GroupOf(view_of(i));
+      }
+      const uint32_t g = group_of[i];
+      if (g == series.size()) {
+        series.emplace_back(env.num_slots());
+        bucket.emplace_back();
+        active.push_back(g);
+      }
+      if (bucket[g].empty()) {
+        touched.push_back(g);
+      }
+      bucket[g].push_back(i);
+    }
+    std::sort(active.begin() + num_active, active.end(), key_less);
+    std::inplace_merge(active.begin(), active.begin() + num_active, active.end(), key_less);
 
-      std::unordered_map<std::string, Value> agg_values;
-      for (const Expr* call : agg_calls) {
-        agg_values[call->ToString()] =
-            ComputeAggregate(*call, rows, pattern_order, db.catalog());
+    std::optional<Value> window_cell;  // formatted once, when a row is emitted
+    for (uint32_t g : active) {
+      const std::vector<uint32_t>& rows = bucket[g];
+      aggregates.Reset();
+      for (uint32_t i : rows) {
+        aggregates.Add(RowAccessor(view_of(i), pattern_cols, catalog));
+      }
+      env.Clear();
+      env.SetHistory(&series[g]);
+      aggregates.Publish(&env);
+
+      // Items read the window's first event of the group; an absent group
+      // has none and reads its key columns from the stored key instead.
+      std::optional<RowAccessor> rep;
+      if (!rows.empty()) {
+        rep.emplace(view_of(rows.front()), pattern_cols, catalog);
+      } else {
+        const std::vector<Value>& key = groups.key(g);
+        for (size_t k = 0; k < key.size(); ++k) {
+          env.SetComputed(key_slots[k], key[k]);
+        }
+      }
+      const RowAccessor* acc = rep.has_value() ? &*rep : nullptr;
+      for (size_t i = 0; i < ctx.items.size(); ++i) {
+        values[i] = EvalScalarExpr(ctx.items[i].expr, acc, &env).value_or(Value());
+        env.SetComputed(item_slots[i], values[i]);
       }
 
-      // Items evaluated against a representative row + aggregate env.
-      std::vector<EventView> empty_row;
-      const std::vector<EventView>& rep = rows.empty() ? empty_row : rows.front();
-      RowAccessor acc(rep, pattern_order, db.catalog());
-      std::unordered_map<std::string, Value> computed;
-      if (rows.empty()) {
-        // Absent groups still need their key columns (taken from the stored
-        // key, since there is no representative row to read them from).
-        for (size_t g = 0; g < ctx.group_by.size() && g < state.key.size(); ++g) {
-          computed[ctx.group_by[g].name] = state.key[g];
-        }
-      }
-
-      AliasEnv env;
-      env.lookup = [&](const std::string& name) -> std::optional<Value> {
-        auto it = agg_values.find(name);
-        if (it != agg_values.end()) {
-          return it->second;
-        }
-        auto it2 = computed.find(name);
-        if (it2 != computed.end()) {
-          return it2->second;
-        }
-        // Moving averages over the group's state series including the
-        // current window's value.
-        return std::nullopt;
-      };
-      env.history = [&](const std::string& alias, int back) -> std::optional<Value> {
-        auto it = state.series.find(alias);
-        if (it == state.series.end()) {
-          return Value(0.0);
-        }
-        const std::vector<double>& s = it->second;
-        // back = 0 is the current window (not yet appended): use computed.
-        if (back == 0) {
-          auto c = computed.find(alias);
-          return c != computed.end() ? std::optional<Value>(c->second) : std::nullopt;
-        }
-        int idx = static_cast<int>(s.size()) - back;
-        if (idx < 0) {
-          return Value(0.0);
-        }
-        return Value(s[static_cast<size_t>(idx)]);
-      };
-
-      std::vector<Value> out_row{Value(FormatTimestamp(ws))};
-      for (const OutputItem& item : ctx.items) {
-        std::optional<Value> v =
-            EvalScalarExpr(item.expr, rows.empty() ? nullptr : &acc, &env);
-        out_row.push_back(v.value_or(Value()));
-        computed[item.name] = out_row.back();
-      }
-
-      // Moving-average calls in having: compute over series + current value.
-      std::unordered_map<std::string, Value> ma_values;
+      // Without a having clause, only groups with events in this window
+      // emit; with one, the clause decides (it may pass on history alone).
+      bool emit = !rows.empty();
       if (ctx.having.has_value()) {
-        ctx.having->Any([&](const Expr& e) {
-          if (e.IsMovingAverageCall() && !e.children.empty()) {
-            const std::string& alias = e.children[0].name;
-            std::vector<double> series;
-            auto it = state.series.find(alias);
-            if (it != state.series.end()) {
-              series = it->second;
-            }
-            auto c = computed.find(alias);
-            if (c != computed.end()) {
-              series.push_back(c->second.as_double());
-            }
-            double param = e.children.size() > 1 ? e.children[1].number : 0;
-            double result = 0;
-            if (e.func == "sma") {
-              result = Sma(series, param > 0 ? static_cast<size_t>(param) : 3);
-            } else if (e.func == "cma") {
-              result = Cma(series);
-            } else if (e.func == "wma") {
-              result = Wma(series, param > 0 ? static_cast<size_t>(param) : 3);
-            } else if (e.func == "ewma") {
-              result = Ewma(series, param > 0 ? param : 0.9);
-            }
-            ma_values[e.ToString()] = Value(result);
-          }
-          return false;  // keep traversing
-        });
-      }
-
-      bool emit = true;
-      if (ctx.having.has_value()) {
-        AliasEnv having_env = env;
-        having_env.lookup = [&](const std::string& name) -> std::optional<Value> {
-          auto it = ma_values.find(name);
-          if (it != ma_values.end()) {
-            return it->second;
-          }
-          return env.lookup(name);
-        };
-        std::optional<Value> ok =
-            EvalScalarExpr(*ctx.having, rows.empty() ? nullptr : &acc, &having_env);
+        for (const MovingAverage& ma : moving_averages) {
+          env.SetFixed(ma.out_slot, Value(ma.Compute(&series[g], env)));
+        }
+        std::optional<Value> ok = EvalScalarExpr(*ctx.having, acc, &env);
         emit = ok.has_value() && ValueTruthy(*ok);
       }
-      // Suppress rows for groups with no activity in this window unless the
-      // having clause explicitly passed on history.
-      if (rows.empty() && !ctx.having.has_value()) {
-        emit = false;
-      }
       if (emit) {
+        if (!window_cell.has_value()) {
+          window_cell = Value(FormatTimestamp(ws));
+        }
+        std::vector<Value> out_row;
+        out_row.reserve(values.size() + 1);
+        out_row.push_back(*window_cell);
+        out_row.insert(out_row.end(), values.begin(), values.end());
         table.AddRow(std::move(out_row));
       }
 
       // Append numeric aliases to the state series.
-      for (size_t i = 0; i < ctx.items.size(); ++i) {
-        const Value& v = computed[ctx.items[i].name];
+      for (int slot : item_slots) {
+        const Value& v = *env.Computed(slot);
         if (!v.is_string()) {
-          state.series[ctx.items[i].name].push_back(v.as_double());
+          series[g][slot].push_back(v.as_double());
         }
       }
     }
+    for (uint32_t g : touched) {
+      bucket[g].clear();
+    }
+    touched.clear();
   }
 
-  if (ctx.top.has_value() && table.num_rows() > static_cast<size_t>(*ctx.top)) {
-    table.mutable_rows()->resize(static_cast<size_t>(*ctx.top));
+  Status s = SortAndLimit(ctx, /*lexicographic_fallback=*/false, &table);
+  if (!s.ok()) {
+    return Result<ResultTable>(s);
   }
   return table;
 }

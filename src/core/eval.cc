@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace aiql {
 
@@ -110,31 +111,107 @@ std::vector<Relationship> InterPatternRelationships(const QueryContext& ctx) {
   return out;
 }
 
-RowAccessor::RowAccessor(const std::vector<EventView>& row,
-                         const std::vector<size_t>& pattern_order, const EntityCatalog& catalog)
-    : row_(row), catalog_(catalog) {
+std::vector<int> PatternColumns(const std::vector<size_t>& order) {
   size_t max_pattern = 0;
-  for (size_t p : pattern_order) {
+  for (size_t p : order) {
     max_pattern = std::max(max_pattern, p);
   }
-  pattern_to_col_.assign(max_pattern + 1, -1);
-  for (size_t i = 0; i < pattern_order.size(); ++i) {
-    pattern_to_col_[pattern_order[i]] = static_cast<int>(i);
+  std::vector<int> cols(max_pattern + 1, -1);
+  for (size_t i = 0; i < order.size(); ++i) {
+    cols[order[i]] = static_cast<int>(i);
   }
+  return cols;
 }
 
 std::optional<Value> RowAccessor::Get(const ResolvedRef& ref) const {
   if (ref.side == RefSide::kAlias) {
     return std::nullopt;
   }
-  if (ref.pattern >= pattern_to_col_.size()) {
+  if (ref.pattern >= pattern_cols_.size()) {
     return std::nullopt;
   }
-  int col = pattern_to_col_[ref.pattern];
+  int col = pattern_cols_[ref.pattern];
   if (col < 0 || static_cast<size_t>(col) >= row_.size() || !row_[col].valid()) {
     return std::nullopt;
   }
   return EndpointValue(row_[col], ref.side, ref.attr, catalog_);
+}
+
+AliasEnv::AliasEnv(const QueryContext& ctx) {
+  for (const OutputItem& item : ctx.items) {
+    Intern(item.name);
+    Resolve(item.expr);
+  }
+  for (const OutputItem& g : ctx.group_by) {
+    Intern(g.name);
+  }
+  if (ctx.having.has_value()) {
+    Resolve(*ctx.having);
+  }
+  fixed_.resize(names_.size());
+  computed_.resize(names_.size());
+}
+
+int AliasEnv::Intern(const std::string& name) {
+  return names_.emplace(name, static_cast<int>(names_.size())).first->second;
+}
+
+void AliasEnv::Resolve(const Expr& e) {
+  switch (e.kind) {
+    case Expr::Kind::kVarRef:
+      nodes_[&e] = Intern(e.resolved.has_value() && e.resolved->side == RefSide::kAlias
+                              ? e.resolved->attr
+                              : e.name);
+      break;
+    case Expr::Kind::kHistRef:
+      nodes_[&e] = Intern(e.name);
+      break;
+    case Expr::Kind::kCall:
+      nodes_[&e] = Intern(e.ToString());
+      break;
+    default:
+      break;
+  }
+  for (const Expr& c : e.children) {
+    Resolve(c);
+  }
+}
+
+int AliasEnv::SlotOf(const std::string& name) const {
+  auto it = names_.find(name);
+  return it != names_.end() ? it->second : -1;
+}
+
+void AliasEnv::Clear() {
+  std::fill(fixed_.begin(), fixed_.end(), std::nullopt);
+  std::fill(computed_.begin(), computed_.end(), std::nullopt);
+}
+
+std::optional<Value> AliasEnv::Lookup(const Expr& node) const {
+  auto it = nodes_.find(&node);
+  if (it == nodes_.end()) {
+    return std::nullopt;
+  }
+  return fixed_[it->second].has_value() ? fixed_[it->second] : computed_[it->second];
+}
+
+std::optional<Value> AliasEnv::History(const Expr& node) const {
+  auto it = nodes_.find(&node);
+  if (history_ == nullptr || it == nodes_.end()) {
+    return std::nullopt;
+  }
+  const std::vector<double>& s = (*history_)[it->second];
+  if (s.empty()) {
+    return Value(0.0);
+  }
+  if (node.hist_offset == 0) {
+    return computed_[it->second];
+  }
+  int idx = static_cast<int>(s.size()) - node.hist_offset;
+  if (idx < 0) {
+    return Value(0.0);
+  }
+  return Value(s[static_cast<size_t>(idx)]);
 }
 
 bool ValueTruthy(const Value& v) {
@@ -159,35 +236,20 @@ std::optional<Value> EvalScalarExpr(const Expr& e, const RowAccessor* row, const
       // is unreachable in practice; evaluate to null defensively.
       return std::nullopt;
     case Expr::Kind::kVarRef: {
-      if (e.resolved.has_value() && e.resolved->side == RefSide::kAlias) {
-        if (env != nullptr && env->lookup) {
-          return env->lookup(e.resolved->attr);
-        }
-        return std::nullopt;
-      }
-      if (e.resolved.has_value() && row != nullptr) {
+      // A row-bound ref reads the row; an alias ref, or any ref evaluated
+      // without a row (an absent anomaly group, an empty global group), reads
+      // the alias environment.
+      if (e.resolved.has_value() && e.resolved->side != RefSide::kAlias && row != nullptr) {
         return row->Get(*e.resolved);
       }
-      // Fall back to alias lookup by surface name (projector output columns).
-      if (env != nullptr && env->lookup) {
-        return env->lookup(e.name);
-      }
-      return std::nullopt;
+      return env != nullptr ? env->Lookup(e) : std::nullopt;
     }
-    case Expr::Kind::kHistRef: {
-      if (env != nullptr && env->history) {
-        return env->history(e.name, e.hist_offset);
-      }
-      return std::nullopt;
-    }
-    case Expr::Kind::kCall: {
-      // Aggregates/moving averages are computed by the projector; here they
-      // resolve through the alias environment keyed by their rendered name.
-      if (env != nullptr && env->lookup) {
-        return env->lookup(e.ToString());
-      }
-      return std::nullopt;
-    }
+    case Expr::Kind::kHistRef:
+      return env != nullptr ? env->History(e) : std::nullopt;
+    case Expr::Kind::kCall:
+      // Aggregates and moving averages are computed by the projector and the
+      // anomaly executor and reach expressions through the environment.
+      return env != nullptr ? env->Lookup(e) : std::nullopt;
     case Expr::Kind::kUnary: {
       std::optional<Value> v = EvalScalarExpr(e.children[0], row, env);
       if (!v.has_value()) {
@@ -196,7 +258,7 @@ std::optional<Value> EvalScalarExpr(const Expr& e, const RowAccessor* row, const
       if (e.uop == '!') {
         return Value(static_cast<int64_t>(!ValueTruthy(*v)));
       }
-      if (v->is_int()) {
+      if (v->is_int() && v->as_int() != std::numeric_limits<int64_t>::min()) {
         return Value(-v->as_int());
       }
       return Value(-v->as_double());
@@ -207,10 +269,15 @@ std::optional<Value> EvalScalarExpr(const Expr& e, const RowAccessor* row, const
       if (!lv.has_value() || !rv.has_value()) {
         return std::nullopt;
       }
+      // Integer operands give an integer unless the result leaves the int64
+      // range, where it stays a double (casting it back is undefined).
       auto arith = [&](auto f) -> Value {
         if (lv->is_int() && rv->is_int()) {
-          return Value(static_cast<int64_t>(f(static_cast<double>(lv->as_int()),
-                                              static_cast<double>(rv->as_int()))));
+          double r = f(static_cast<double>(lv->as_int()), static_cast<double>(rv->as_int()));
+          if (r >= -0x1p63 && r < 0x1p63) {
+            return Value(static_cast<int64_t>(r));
+          }
+          return Value(r);
         }
         return Value(f(lv->as_double(), rv->as_double()));
       };

@@ -1,128 +1,41 @@
 #include "src/core/projector.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <span>
 
+#include "src/core/aggregate.h"
 #include "src/core/exec_session.h"
 
 namespace aiql {
 namespace {
 
-void CollectAggsFromExpr(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.IsAggregateCall()) {
-    // Aggregates do not nest; record and stop descending.
-    out->push_back(&e);
-    return;
-  }
-  for (const Expr& c : e.children) {
-    CollectAggsFromExpr(c, out);
-  }
-}
-
 bool ExprHasAggregate(const Expr& e) {
   return e.Any([](const Expr& x) { return x.IsAggregateCall(); });
 }
 
-std::string GroupKeyString(const std::vector<Value>& key) {
-  std::string out;
-  for (const Value& v : key) {
-    out += v.ToString();
-    out.push_back('\x1f');
+bool Cancelled(const ExecutionSession* session) {
+  return session != nullptr && session->IsCancelled();
+}
+
+// Row-wise having: the clause reads the row and, by alias, the row's return
+// items. No clause passes every row.
+bool RowPassesHaving(const QueryContext& ctx, const std::vector<int>& item_slots,
+                     std::span<const Value> values, const RowAccessor& acc, AliasEnv* env) {
+  if (!ctx.having.has_value()) {
+    return true;
   }
-  return out;
+  env->Clear();
+  for (size_t i = 0; i < values.size(); ++i) {
+    env->SetComputed(item_slots[i], values[i]);
+  }
+  std::optional<Value> ok = EvalScalarExpr(*ctx.having, &acc, env);
+  return ok.has_value() && ValueTruthy(*ok);
 }
 
 }  // namespace
 
-std::vector<const Expr*> CollectAggregateCalls(const QueryContext& ctx) {
-  std::vector<const Expr*> calls;
-  for (const OutputItem& item : ctx.items) {
-    CollectAggsFromExpr(item.expr, &calls);
-  }
-  if (ctx.having.has_value()) {
-    CollectAggsFromExpr(*ctx.having, &calls);
-  }
-  // Dedupe by rendered name.
-  std::vector<const Expr*> out;
-  std::unordered_set<std::string> seen;
-  for (const Expr* c : calls) {
-    if (seen.insert(c->ToString()).second) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-Value ComputeAggregate(const Expr& call, const std::vector<std::vector<EventView>>& rows,
-                       const std::vector<size_t>& pattern_order, const EntityCatalog& catalog) {
-  const std::string& func = call.func;
-  if (func == "count" && call.children.empty()) {
-    return Value(static_cast<int64_t>(rows.size()));
-  }
-  if (func == "count_distinct" || func == "count") {
-    std::set<std::string> distinct;
-    for (const auto& row : rows) {
-      RowAccessor acc(row, pattern_order, catalog);
-      std::optional<Value> v =
-          call.children.empty() ? std::nullopt : EvalScalarExpr(call.children[0], &acc, nullptr);
-      if (v.has_value()) {
-        distinct.insert(v->ToString());
-      }
-    }
-    if (func == "count_distinct") {
-      return Value(static_cast<int64_t>(distinct.size()));
-    }
-    // count(x): counts rows where x is non-null.
-    int64_t n = 0;
-    for (const auto& row : rows) {
-      RowAccessor acc(row, pattern_order, catalog);
-      if (EvalScalarExpr(call.children[0], &acc, nullptr).has_value()) {
-        ++n;
-      }
-    }
-    return Value(n);
-  }
-  // Numeric aggregates.
-  double sum = 0;
-  double mn = 0, mx = 0;
-  size_t n = 0;
-  for (const auto& row : rows) {
-    RowAccessor acc(row, pattern_order, catalog);
-    if (call.children.empty()) {
-      continue;
-    }
-    std::optional<Value> v = EvalScalarExpr(call.children[0], &acc, nullptr);
-    if (!v.has_value()) {
-      continue;
-    }
-    double x = v->as_double();
-    if (n == 0) {
-      mn = mx = x;
-    } else {
-      mn = std::min(mn, x);
-      mx = std::max(mx, x);
-    }
-    sum += x;
-    ++n;
-  }
-  if (func == "sum") {
-    return Value(sum);
-  }
-  if (func == "avg") {
-    return Value(n == 0 ? 0.0 : sum / static_cast<double>(n));
-  }
-  if (func == "min") {
-    return Value(mn);
-  }
-  if (func == "max") {
-    return Value(mx);
-  }
-  return Value();
-}
-
-Status SortAndLimit(const QueryContext& ctx, ResultTable* table) {
+Status SortAndLimit(const QueryContext& ctx, bool lexicographic_fallback, ResultTable* table) {
   if (!ctx.sort_by.empty()) {
     struct Key {
       int col;
@@ -156,7 +69,7 @@ Status SortAndLimit(const QueryContext& ctx, ResultTable* table) {
                        }
                        return false;
                      });
-  } else {
+  } else if (lexicographic_fallback) {
     table->SortRowsLexicographically();
   }
   if (ctx.top.has_value() && *ctx.top >= 0 &&
@@ -169,7 +82,8 @@ Status SortAndLimit(const QueryContext& ctx, ResultTable* table) {
 Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tuples,
                                    const EntityCatalog& catalog,
                                    const ExecutionSession* session) {
-  const std::vector<size_t>& pattern_order = tuples.patterns();
+  const std::vector<int> pattern_cols = PatternColumns(tuples.patterns());
+  const std::vector<std::vector<EventView>>& rows = tuples.rows();
 
   bool aggregated = !ctx.group_by.empty();
   for (const OutputItem& item : ctx.items) {
@@ -182,99 +96,113 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
   }
   ResultTable table(columns);
 
-  if (!aggregated) {
-    // Row-wise projection.
-    for (const auto& row : tuples.rows()) {
-      if (session != nullptr && session->IsCancelled()) {
-        return Result<ResultTable>::Error("execution cancelled");
-      }
-      RowAccessor acc(row, pattern_order, catalog);
-      std::vector<Value> out_row;
-      out_row.reserve(ctx.items.size());
-      AliasEnv env;
-      std::unordered_map<std::string, Value> computed;
-      for (size_t i = 0; i < ctx.items.size(); ++i) {
-        std::optional<Value> v = EvalScalarExpr(ctx.items[i].expr, &acc, nullptr);
-        out_row.push_back(v.value_or(Value()));
-        computed[ctx.items[i].name] = out_row.back();
-      }
-      if (ctx.having.has_value()) {
-        env.lookup = [&](const std::string& name) -> std::optional<Value> {
-          auto it = computed.find(name);
-          if (it != computed.end()) {
-            return it->second;
-          }
-          return std::nullopt;
-        };
-        std::optional<Value> ok = EvalScalarExpr(*ctx.having, &acc, &env);
-        if (!ok.has_value() || !ValueTruthy(*ok)) {
-          continue;
-        }
-      }
-      table.AddRow(std::move(out_row));
-    }
-  } else {
-    // Group rows, compute aggregates per group.
-    std::vector<const Expr*> agg_calls = CollectAggregateCalls(ctx);
-    std::map<std::string, std::pair<std::vector<Value>, std::vector<std::vector<EventView>>>>
-        groups;
-    for (const auto& row : tuples.rows()) {
-      RowAccessor acc(row, pattern_order, catalog);
-      std::vector<Value> key;
-      for (const OutputItem& g : ctx.group_by) {
-        key.push_back(EvalScalarExpr(g.expr, &acc, nullptr).value_or(Value()));
-      }
-      auto& slot = groups[GroupKeyString(key)];
-      if (slot.second.empty()) {
-        slot.first = key;
-      }
-      slot.second.push_back(row);
-    }
-    // A query with aggregates but no group-by forms one global group, even
-    // when there are no input rows (SQL semantics for global aggregates).
-    if (ctx.group_by.empty() && groups.empty()) {
-      groups[""] = {{}, {}};
-    }
+  AliasEnv env(ctx);
+  std::vector<int> item_slots;
+  for (const OutputItem& item : ctx.items) {
+    item_slots.push_back(env.SlotOf(item.name));
+  }
+  auto cancelled = [] { return Result<ResultTable>::Error("execution cancelled"); };
 
-    for (auto& [key_str, slot] : groups) {
-      if (session != nullptr && session->IsCancelled()) {
-        return Result<ResultTable>::Error("execution cancelled");
+  if (!aggregated && ctx.distinct) {
+    // Dedupe on per-item value ids: only the first tuple of each distinct
+    // tuple of return values becomes a row.
+    std::vector<ValueIds> items;
+    items.reserve(ctx.items.size());
+    for (const OutputItem& item : ctx.items) {
+      items.emplace_back(item.expr, pattern_cols, catalog);
+    }
+    TupleIds seen(items.size());
+    std::vector<uint32_t> ids(items.size());
+    auto values = [&] {
+      std::vector<Value> out;
+      out.reserve(items.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        out.push_back(items[i].value(ids[i]));
       }
-      const auto& rows = slot.second;
-      std::unordered_map<std::string, Value> agg_values;
-      for (const Expr* call : agg_calls) {
-        agg_values[call->ToString()] =
-            ComputeAggregate(*call, rows, pattern_order, catalog);
+      return out;
+    };
+    for (const auto& row : rows) {
+      if (Cancelled(session)) {
+        return cancelled();
       }
-      // Representative row gives the values of group keys / plain refs.
-      std::vector<EventView> empty_row;
-      const std::vector<EventView>& rep = rows.empty() ? empty_row : rows.front();
-      RowAccessor acc(rep, pattern_order, catalog);
-
-      std::unordered_map<std::string, Value> computed;
-      AliasEnv env;
-      env.lookup = [&](const std::string& name) -> std::optional<Value> {
-        auto it = agg_values.find(name);
-        if (it != agg_values.end()) {
-          return it->second;
-        }
-        auto it2 = computed.find(name);
-        if (it2 != computed.end()) {
-          return it2->second;
-        }
-        return std::nullopt;
-      };
-
+      for (size_t i = 0; i < items.size(); ++i) {
+        ids[i] = items[i].IdOf(row);
+      }
+      if (ctx.having.has_value() &&
+          !RowPassesHaving(ctx, item_slots, values(), RowAccessor(row, pattern_cols, catalog),
+                           &env)) {
+        continue;
+      }
+      bool added = false;
+      seen.Intern(ids, &added);
+      if (added) {
+        table.AddRow(values());
+      }
+    }
+  } else if (!aggregated) {
+    for (const auto& row : rows) {
+      if (Cancelled(session)) {
+        return cancelled();
+      }
+      RowAccessor acc(row, pattern_cols, catalog);
       std::vector<Value> out_row;
       out_row.reserve(ctx.items.size());
       for (const OutputItem& item : ctx.items) {
-        std::optional<Value> v = EvalScalarExpr(item.expr, rows.empty() ? nullptr : &acc, &env);
-        out_row.push_back(v.value_or(Value()));
-        computed[item.name] = out_row.back();
+        out_row.push_back(EvalScalarExpr(item.expr, &acc, nullptr).value_or(Value()));
+      }
+      if (RowPassesHaving(ctx, item_slots, out_row, acc, &env)) {
+        table.AddRow(std::move(out_row));
+      }
+    }
+  } else {
+    // Group rows (each group keeps its rows in tuple order), then compute
+    // the aggregates of each group in key-string order.
+    GroupIndex index(ctx.group_by, pattern_cols, catalog);
+    std::vector<std::vector<uint32_t>> members;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      uint32_t g = index.GroupOf(rows[r]);
+      if (g == members.size()) {
+        members.emplace_back();
+      }
+      members[g].push_back(static_cast<uint32_t>(r));
+    }
+    // A query with aggregates but no group-by forms one global group, even
+    // when there are no input rows (SQL semantics for global aggregates).
+    if (ctx.group_by.empty() && members.empty()) {
+      members.emplace_back();
+    }
+    std::vector<uint32_t> order(members.size());
+    for (uint32_t g = 0; g < order.size(); ++g) {
+      order[g] = g;
+    }
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return index.KeyLess(a, b); });
+
+    GroupAggregates aggregates(ctx, env, pattern_cols, catalog);
+    for (uint32_t g : order) {
+      if (Cancelled(session)) {
+        return cancelled();
+      }
+      aggregates.Reset();
+      for (uint32_t r : members[g]) {
+        aggregates.Add(RowAccessor(rows[r], pattern_cols, catalog));
+      }
+      env.Clear();
+      aggregates.Publish(&env);
+      // The group's first row gives the values of group keys and plain refs.
+      std::optional<RowAccessor> rep;
+      if (!members[g].empty()) {
+        rep.emplace(rows[members[g].front()], pattern_cols, catalog);
+      }
+      const RowAccessor* acc = rep.has_value() ? &*rep : nullptr;
+      std::vector<Value> out_row;
+      out_row.reserve(ctx.items.size());
+      for (size_t i = 0; i < ctx.items.size(); ++i) {
+        out_row.push_back(EvalScalarExpr(ctx.items[i].expr, acc, &env).value_or(Value()));
+        env.SetComputed(item_slots[i], out_row.back());
       }
       if (ctx.having.has_value()) {
-        std::optional<Value> ok =
-            EvalScalarExpr(*ctx.having, rows.empty() ? nullptr : &acc, &env);
+        std::optional<Value> ok = EvalScalarExpr(*ctx.having, acc, &env);
         if (!ok.has_value() || !ValueTruthy(*ok)) {
           continue;
         }
@@ -284,22 +212,16 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
   }
 
   // DISTINCT before COUNT so `return count distinct x` counts distinct rows.
+  // Rows whose values are equal across types (3 and 3.0) have distinct ids,
+  // so equal neighbours are merged after the sort.
   if (ctx.distinct) {
     table.SortRowsLexicographically();
-    auto* rows = table.mutable_rows();
-    rows->erase(std::unique(rows->begin(), rows->end(),
-                            [](const std::vector<Value>& a, const std::vector<Value>& b) {
-                              if (a.size() != b.size()) {
-                                return false;
-                              }
-                              for (size_t i = 0; i < a.size(); ++i) {
-                                if (a[i] != b[i]) {
-                                  return false;
-                                }
-                              }
-                              return true;
-                            }),
-                rows->end());
+    auto* out = table.mutable_rows();
+    out->erase(std::unique(out->begin(), out->end(),
+                           [](const std::vector<Value>& a, const std::vector<Value>& b) {
+                             return std::equal(a.begin(), a.end(), b.begin(), b.end());
+                           }),
+               out->end());
   }
   if (ctx.count_all) {
     ResultTable count_table({"count"});
@@ -307,7 +229,7 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
     return count_table;
   }
 
-  Status s = SortAndLimit(ctx, &table);
+  Status s = SortAndLimit(ctx, /*lexicographic_fallback=*/!ctx.distinct, &table);
   if (!s.ok()) {
     return Result<ResultTable>(s);
   }

@@ -3,7 +3,6 @@
 #ifndef AIQL_SRC_CORE_PROJECTOR_H_
 #define AIQL_SRC_CORE_PROJECTOR_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -16,25 +15,21 @@ namespace aiql {
 struct ExecutionSession;
 
 // Projects the final tuple set of a multievent query into a result table.
-// When a session is supplied, its cancellation flag is honored between rows.
+// Groups are visited in key-string order (see GroupIndex) with their rows in
+// tuple order. DISTINCT keeps the first tuple of each distinct tuple of
+// return values (compared as per-item value ids, before any row is built),
+// then sorts the survivors lexicographically once; sort-by keys reorder that
+// stably. When a session is supplied, its cancellation flag is honored
+// between rows.
 Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tuples,
                                    const EntityCatalog& catalog,
                                    const ExecutionSession* session = nullptr);
 
-// --- helpers shared with the anomaly executor ------------------------------
-
-// Collects the distinct aggregate calls appearing in the query's return
-// items and having clause, keyed by their rendered names.
-std::vector<const Expr*> CollectAggregateCalls(const QueryContext& ctx);
-
-// Computes one aggregate over a set of rows. `pattern_order` maps row columns
-// to pattern ids.
-Value ComputeAggregate(const Expr& call, const std::vector<std::vector<EventView>>& rows,
-                       const std::vector<size_t>& pattern_order, const EntityCatalog& catalog);
-
-// Applies sort-by keys (by output column), falling back to lexicographic row
-// order when the query has no sort clause; then applies top-k.
-Status SortAndLimit(const QueryContext& ctx, ResultTable* table);
+// Applies the sort-by keys (a stable sort by output column), then top-k; the
+// anomaly executor shares it.
+// Without sort keys, rows are sorted lexicographically when
+// `lexicographic_fallback` is set and keep their order otherwise.
+Status SortAndLimit(const QueryContext& ctx, bool lexicographic_fallback, ResultTable* table);
 
 }  // namespace aiql
 

@@ -2,6 +2,8 @@
 // execution, budgets — on a small hand-crafted database.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/core/engine.h"
 #include "src/storage/database.h"
 
@@ -358,6 +360,56 @@ TEST_F(AnomalyTest, TumblingWindowDefaultStep) {
   ASSERT_TRUE(r.ok()) << r.error();
   // 4 active 10-minute tumbling windows (0-10, 10-20, 20-30, 30-40).
   EXPECT_EQ(r.value().num_rows(), 4u);
+}
+
+TEST_F(AnomalyTest, SortByOrdersRowsBeforeTop) {
+  AiqlEngine engine(&db_);
+  const std::string query = R"(
+      (at "01/01/2017")
+      agentid = 1
+      window = 1 min, step = 1 min
+      proc p write ip i as evt
+      return p, sum(evt.amount) as amt
+      group by p)";
+  auto sorted = engine.Execute(query + "\nsort by amt desc top 2");
+  ASSERT_TRUE(sorted.ok()) << sorted.error();
+  ASSERT_EQ(sorted.value().num_rows(), 2u);
+  // The burst window first; then, among the equal quiet windows, the
+  // earliest (the sort is stable over window order).
+  EXPECT_EQ(sorted.value().rows()[0][2].as_double(), 6.0 * (10 << 20));
+  EXPECT_EQ(sorted.value().rows()[0][0].ToString(), FormatTimestamp(t0_ + 30 * kMinuteMs));
+  EXPECT_EQ(sorted.value().rows()[1][2].as_double(), 10240.0);
+  EXPECT_EQ(sorted.value().rows()[1][0].ToString(), FormatTimestamp(t0_));
+
+  // Without sort by, top keeps the first rows in window order.
+  auto unsorted = engine.Execute(query + "\ntop 2");
+  ASSERT_TRUE(unsorted.ok()) << unsorted.error();
+  ASSERT_EQ(unsorted.value().num_rows(), 2u);
+  EXPECT_EQ(unsorted.value().rows()[0][0].ToString(), FormatTimestamp(t0_));
+  EXPECT_EQ(unsorted.value().rows()[1][0].ToString(), FormatTimestamp(t0_ + kMinuteMs));
+}
+
+// The window loop honours the run's time budget: a year of 1-second steps
+// over one active group is ~31.5M (window, group) steps.
+TEST(AnomalyBudgetTest, WindowLoopStopsAtDeadline) {
+  Database db;
+  const uint32_t p = db.catalog().InternProcess(1, 20, "/usr/bin/uploader", "bob");
+  const uint32_t ip = db.catalog().InternNetwork(1, "10.0.0.1", "9.9.9.9", 1, 443);
+  db.RecordEvent(1, p, Operation::kWrite, EntityType::kNetwork, ip,
+                 MakeTimestamp(2017, 1, 1, 0, 0, 30), 100);
+  db.Finalize();
+  AiqlEngine engine(&db, EngineOptions{.time_budget_ms = 200});
+  const auto start = std::chrono::steady_clock::now();
+  auto r = engine.Execute(R"(
+      (from "01/01/2017" to "01/01/2018")
+      window = 1 min, step = 1 sec
+      proc p write ip i as evt
+      return p, sum(evt.amount) as amt
+      group by p)");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "execution budget exceeded: time limit reached");
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
 // --- moving-average math ---

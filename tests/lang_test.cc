@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "src/core/engine.h"
@@ -307,6 +308,41 @@ TEST(ParserErrorTest, LongOperatorChainsAreBoundedLikeNesting) {
   ASSERT_TRUE(shallow.ok()) << shallow.error();
   ASSERT_EQ(shallow.value().num_rows(), 1u);
   EXPECT_EQ(shallow.value().rows()[0][1].ToString(), "200");
+}
+
+// Integer arithmetic whose result leaves the int64 range yields the double
+// instead of casting it back (undefined; it used to read INT64_MIN).
+TEST(EvalTest, IntegerOverflowYieldsDouble) {
+  Database db;
+  const uint32_t p = db.catalog().InternProcess(1, 10, "/bin/p", "root");
+  const uint32_t f = db.catalog().InternFile(1, "/d/f");
+  db.RecordEvent(1, p, Operation::kWrite, EntityType::kFile, f, MakeTimestamp(2017, 1, 1));
+  db.Finalize();
+  const AiqlEngine engine(&db);
+  auto eval = [&](const std::string& expr) {
+    auto r = engine.Execute("proc p1 write file f1 as evt1 return p1, " + expr + " as n");
+    EXPECT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(r.value().num_rows(), 1u);
+    return r.value().rows()[0][1];
+  };
+
+  Value big = eval("999999999999999 * 999999999999999");
+  ASSERT_TRUE(big.is_double()) << big.ToString();
+  EXPECT_DOUBLE_EQ(big.as_double(), 999999999999999.0 * 999999999999999.0);
+  EXPECT_EQ(big.ToString(), "1e+30");
+
+  // In range, integers stay integers, down to INT64_MIN itself.
+  Value small = eval("999999 * 999999 - 1");
+  ASSERT_TRUE(small.is_int());
+  EXPECT_EQ(small.as_int(), 999998000000);
+  Value min = eval("2147483648 * -4294967296");
+  ASSERT_TRUE(min.is_int());
+  EXPECT_EQ(min.as_int(), std::numeric_limits<int64_t>::min());
+
+  // Negating INT64_MIN leaves the range too.
+  Value negated = eval("-(2147483648 * -4294967296)");
+  ASSERT_TRUE(negated.is_double()) << negated.ToString();
+  EXPECT_DOUBLE_EQ(negated.as_double(), 0x1p63);
 }
 
 // --- inference ---
