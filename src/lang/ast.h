@@ -108,6 +108,7 @@ struct Filters {
 // <global_cstr> ::= <cstr> | '(' <twind> ')' | <slide_wind>
 struct GlobalConstraints {
   PredExpr constraint;                     // e.g. agentid = 1
+  int line = 0;                            // of the first constraint
   // All (at "...") / (from "..." to "...") windows in source order; the
   // resolved query time range is their intersection. Kept as specs (not a
   // single TimeRange) because parameterized windows resolve only at Bind.

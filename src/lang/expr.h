@@ -47,7 +47,7 @@ struct Expr {
   Kind kind = Kind::kNumber;
   double number = 0;
   std::string str;
-  int line = 0;  // source line; set for kParam (bind diagnostics)
+  int line = 0;  // source line of a primary (bind and resolution diagnostics)
 
   // kVarRef / kHistRef / kParam
   std::string name;

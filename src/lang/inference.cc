@@ -26,46 +26,39 @@ Status LineError(int line, const std::string& message) {
 // validates the rest (paper: "default attribute names will be inferred if
 // users specify only attribute values in an event pattern").
 Status ResolveEntityPred(PredExpr* pred, EntityType type, int line) {
-  if (pred->kind() == PredExpr::Kind::kLeaf) {
-    AttrPredicate* leaf = pred->mutable_leaf();
-    if (leaf->attr.empty()) {
-      leaf->attr = DefaultAttribute(type);
-    }
-    leaf->attr = CanonicalAttrName(leaf->attr);
-    if (!IsEntityAttr(type, leaf->attr)) {
-      return LineError(line, "'" + leaf->attr + "' is not an attribute of " +
-                                 EntityTypeName(type) + " entities");
-    }
-    return Status::Ok();
-  }
-  for (PredExpr& child : *pred->mutable_children()) {
-    Status s = ResolveEntityPred(&child, type, line);
+  Status s;
+  pred->ForEachLeaf([&](AttrPredicate& leaf) {
     if (!s.ok()) {
-      return s;
+      return;
     }
-  }
-  return Status::Ok();
+    if (leaf.attr.empty()) {
+      leaf.attr = DefaultAttribute(type);
+    }
+    leaf.attr = CanonicalAttrName(leaf.attr);
+    if (!IsEntityAttr(type, leaf.attr)) {
+      s = LineError(line, "'" + leaf.attr + "' is not an attribute of " + EntityTypeName(type) +
+                              " entities");
+    }
+  });
+  return s;
 }
 
 Status ResolveEventPred(PredExpr* pred, int line) {
-  if (pred->kind() == PredExpr::Kind::kLeaf) {
-    AttrPredicate* leaf = pred->mutable_leaf();
-    if (leaf->attr.empty()) {
-      return LineError(line, "event constraints need explicit attribute names");
-    }
-    leaf->attr = CanonicalAttrName(leaf->attr);
-    if (!IsEventAttr(leaf->attr)) {
-      return LineError(line, "'" + leaf->attr + "' is not an event attribute");
-    }
-    return Status::Ok();
-  }
-  for (PredExpr& child : *pred->mutable_children()) {
-    Status s = ResolveEventPred(&child, line);
+  Status s;
+  pred->ForEachLeaf([&](AttrPredicate& leaf) {
     if (!s.ok()) {
-      return s;
+      return;
     }
-  }
-  return Status::Ok();
+    if (leaf.attr.empty()) {
+      s = LineError(line, "event constraints need explicit attribute names");
+      return;
+    }
+    leaf.attr = CanonicalAttrName(leaf.attr);
+    if (!IsEventAttr(leaf.attr)) {
+      s = LineError(line, "'" + leaf.attr + "' is not an event attribute");
+    }
+  });
+  return s;
 }
 
 // Extracts agent ids pinned by equality/IN on agentid for partition pruning.
@@ -151,11 +144,13 @@ class Resolver {
     if (ctx_.kind == ast::QueryKind::kAnomaly) {
       if (ctx_.patterns.size() != 1) {
         return Result<QueryContext>(
-            Status::Error("sliding-window (anomaly) queries take exactly one event pattern"));
+            LineError(ctx_.patterns[1].source_line,
+                      "sliding-window (anomaly) queries take exactly one event pattern"));
       }
       if (!ctx_.global_time.bounded()) {
         return Result<QueryContext>(
-            Status::Error("sliding-window queries need a bounded time window, e.g. (at \"...\")"));
+            LineError(ctx_.patterns[0].source_line,
+                      "sliding-window queries need a bounded time window, e.g. (at \"...\")"));
       }
     }
     return std::move(ctx_);
@@ -178,7 +173,7 @@ class Resolver {
 
     // Non-agent global constraints apply to every pattern's event predicate.
     if (!global.constraint.is_true()) {
-      Status s = CollectGlobalEventPreds(global.constraint);
+      Status s = CollectGlobalEventPreds(global.constraint, global.line);
       if (!s.ok()) {
         return s;
       }
@@ -186,29 +181,28 @@ class Resolver {
     return Status::Ok();
   }
 
-  Status CollectGlobalEventPreds(const PredExpr& pred) {
+  Status CollectGlobalEventPreds(const PredExpr& pred, int line) {
     if (pred.kind() == PredExpr::Kind::kLeaf) {
       const AttrPredicate& leaf = pred.leaf();
       if (leaf.attr == "agentid" || leaf.attr == "agent_id") {
         return Status::Ok();  // handled via global_agents
       }
       if (!IsEventAttr(leaf.attr)) {
-        return Status::Error("global constraint on '" + leaf.attr +
-                             "' is not an event attribute");
+        return LineError(line, "global constraint on '" + leaf.attr + "' is not an event attribute");
       }
       global_event_pred_ = PredExpr::And(std::move(global_event_pred_), PredExpr::Leaf(leaf));
       return Status::Ok();
     }
     if (pred.kind() == PredExpr::Kind::kAnd) {
       for (const PredExpr& child : pred.children()) {
-        Status s = CollectGlobalEventPreds(child);
+        Status s = CollectGlobalEventPreds(child, line);
         if (!s.ok()) {
           return s;
         }
       }
       return Status::Ok();
     }
-    return Status::Error("global constraints must be a conjunction of simple comparisons");
+    return LineError(line, "global constraints must be a conjunction of simple comparisons");
   }
 
   // Registers a variable occurrence; lowers entity-ID reuse into an implicit
@@ -405,8 +399,8 @@ class Resolver {
           if (attr.empty()) {
             attr = DefaultAttribute(b->second.type);  // return p2 -> p2.exe_name
           } else if (!IsEntityAttr(b->second.type, attr)) {
-            return Status::Error("'" + attr + "' is not an attribute of entity '" + e->name +
-                                 "'");
+            return LineError(e->line,
+                             "'" + attr + "' is not an attribute of entity '" + e->name + "'");
           }
           e->resolved = ResolvedRef{b->second.pattern, b->second.side, attr};
           return Status::Ok();
@@ -415,38 +409,38 @@ class Resolver {
         if (ev != evt_ids_.end()) {
           std::string attr = e->attr.empty() ? "id" : CanonicalAttrName(e->attr);
           if (!IsEventAttr(attr)) {
-            return Status::Error("'" + attr + "' is not an event attribute");
+            return LineError(e->line, "'" + attr + "' is not an event attribute");
           }
           e->resolved = ResolvedRef{ev->second, RefSide::kEvent, attr};
           return Status::Ok();
         }
         if (aliases_visible) {
-          return Status::Error("unknown identifier '" + e->name + "'");
+          return LineError(e->line, "unknown identifier '" + e->name + "'");
         }
-        return Status::Error("unknown identifier '" + e->name + "' in return clause");
+        return LineError(e->line, "unknown identifier '" + e->name + "' in return clause");
       }
       case Expr::Kind::kHistRef: {
         if (aliases_.count(e->name) == 0) {
-          return Status::Error("history reference '" + e->name +
+          return LineError(e->line, "history reference '" + e->name +
                                "[..]' does not match a return alias");
         }
         if (!ctx_.window.has_value()) {
-          return Status::Error("history references need a sliding window (window = ...)");
+          return LineError(e->line, "history references need a sliding window (window = ...)");
         }
         e->resolved = ResolvedRef{0, RefSide::kAlias, e->name};
         return Status::Ok();
       }
       case Expr::Kind::kCall: {
         if (!IsAggregateFunc(e->func) && !IsMovingAverageFunc(e->func)) {
-          return Status::Error("unknown function '" + e->func + "'");
+          return LineError(e->line, "unknown function '" + e->func + "'");
         }
         if (e->IsMovingAverageCall()) {
           if (!ctx_.window.has_value()) {
-            return Status::Error("moving averages need a sliding window (window = ...)");
+            return LineError(e->line, "moving averages need a sliding window (window = ...)");
           }
           if (e->children.empty() || e->children[0].kind != Expr::Kind::kVarRef ||
               aliases_.count(e->children[0].name) == 0) {
-            return Status::Error("the first argument of " + e->func +
+            return LineError(e->line, "the first argument of " + e->func +
                                  "() must be a return alias");
           }
           e->children[0].resolved = ResolvedRef{0, RefSide::kAlias, e->children[0].name};

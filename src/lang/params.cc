@@ -1,9 +1,6 @@
 #include "src/lang/params.h"
 
-#include <set>
-#include <unordered_map>
-
-#include "src/util/string_utils.h"
+#include <algorithm>
 
 namespace aiql {
 
@@ -11,341 +8,211 @@ namespace {
 
 std::string LinePrefix(int line) { return "line " + std::to_string(line) + ": "; }
 
-// Shared traversal order for the collector and the binder: global constraint,
-// global time windows, then the query body's predicates, pattern windows, and
-// return/filter expressions. Visiting both bodies is harmless — the inactive
-// one is default-constructed and contains no parameters.
-class Collector {
- public:
-  std::vector<ParamInfo> Run(const ast::Query& q) {
-    Pred(q.global.constraint);
-    for (const ast::TimeWindowSpec& w : q.global.time_windows) {
-      Window(w);
-    }
-    Multievent(q.multievent);
-    Dependency(q.dependency);
-    return std::move(out_);
+template <typename E, typename Fn>
+void ForEachParamNode(E& e, Fn& fn) {
+  if (e.kind == Expr::Kind::kParam) {
+    fn(e);
+    return;
   }
+  for (auto& child : e.children) {
+    ForEachParamNode(child, fn);
+  }
+}
+
+// Calls site(x) on every parameter site of `q` in source order: the global
+// constraint, the global time windows, each pattern's subject, object and
+// event constraints and its window, each dependency node's constraint, then
+// return and filter expressions. A site is a predicate leaf holding a $value,
+// an Expr::kParam node, or a time window with a $endpoint. Both query bodies
+// are walked; the inactive one is default-constructed and holds none. `Q` is
+// ast::Query or const ast::Query, and the sites share its constness.
+template <typename Q, typename Site>
+void ForEachParamSite(Q& q, Site&& site) {
+  auto pred = [&](auto& p) {
+    p.ForEachLeaf([&](auto& leaf) {
+      if (std::any_of(leaf.values.begin(), leaf.values.end(),
+                      [](const Value& v) { return v.is_param(); })) {
+        site(leaf);
+      }
+    });
+  };
+  auto window = [&](auto& w) {
+    if (w.parameterized()) {
+      site(w);
+    }
+  };
+  auto outputs = [&](auto& ret, auto& filters) {
+    for (auto& item : ret.items) {
+      ForEachParamNode(item.expr, site);
+    }
+    for (auto& item : filters.group_by) {
+      ForEachParamNode(item.expr, site);
+    }
+    if (filters.having.has_value()) {
+      ForEachParamNode(*filters.having, site);
+    }
+    for (auto& key : filters.sort_by) {
+      ForEachParamNode(key.expr, site);
+    }
+  };
+  pred(q.global.constraint);
+  for (auto& w : q.global.time_windows) {
+    window(w);
+  }
+  for (auto& p : q.multievent.patterns) {
+    pred(p.subject.constraint);
+    pred(p.object.constraint);
+    pred(p.evt_constraint);
+    if (p.time_window.has_value()) {
+      window(*p.time_window);
+    }
+  }
+  outputs(q.multievent.ret, q.multievent.filters);
+  for (auto& node : q.dependency.nodes) {
+    pred(node.constraint);
+  }
+  outputs(q.dependency.ret, q.dependency.filters);
+}
+
+// The distinct parameters of the sites it is called on, in first-occurrence
+// order. A name used both as a time-window endpoint and a value keeps the
+// stricter timestamp type.
+class ParamList {
+ public:
+  void operator()(const AttrPredicate& leaf) {
+    for (const Value& v : leaf.values) {
+      if (v.is_param()) {
+        Add(v.param().name, ParamType::kValue, v.param().line);
+      }
+    }
+  }
+  void operator()(const Expr& e) { Add(e.name, ParamType::kValue, e.line); }
+  void operator()(const ast::TimeWindowSpec& w) {
+    for (const std::string* name : {&w.at_param, &w.from_param, &w.to_param}) {
+      if (!name->empty()) {
+        Add(*name, ParamType::kTimestamp, w.line);
+      }
+    }
+  }
+
+  bool Declares(const std::string& name) const {
+    return std::any_of(params_.begin(), params_.end(),
+                       [&](const ParamInfo& p) { return p.name == name; });
+  }
+  std::vector<ParamInfo> Take() { return std::move(params_); }
 
  private:
   void Add(const std::string& name, ParamType type, int line) {
-    auto it = index_.find(name);
-    if (it == index_.end()) {
-      index_[name] = out_.size();
-      out_.push_back(ParamInfo{name, type, line});
-      return;
-    }
-    // A name used both ways keeps the stricter timestamp typing.
-    if (type == ParamType::kTimestamp) {
-      out_[it->second].type = ParamType::kTimestamp;
-    }
-  }
-
-  void Pred(const PredExpr& p) {
-    if (p.kind() == PredExpr::Kind::kLeaf) {
-      for (const Value& v : p.leaf().values) {
-        if (v.is_param()) {
-          Add(v.param().name, ParamType::kValue, v.param().line);
+    for (ParamInfo& p : params_) {
+      if (p.name == name) {
+        if (type == ParamType::kTimestamp) {
+          p.type = ParamType::kTimestamp;
         }
-      }
-      return;
-    }
-    for (const PredExpr& child : p.children()) {
-      Pred(child);
-    }
-  }
-
-  void Window(const ast::TimeWindowSpec& w) {
-    if (!w.at_param.empty()) {
-      Add(w.at_param, ParamType::kTimestamp, w.line);
-    }
-    if (!w.from_param.empty()) {
-      Add(w.from_param, ParamType::kTimestamp, w.line);
-    }
-    if (!w.to_param.empty()) {
-      Add(w.to_param, ParamType::kTimestamp, w.line);
-    }
-  }
-
-  void ExprWalk(const Expr& e) {
-    if (e.kind == Expr::Kind::kParam) {
-      Add(e.name, ParamType::kValue, e.line);
-    }
-    for (const Expr& c : e.children) {
-      ExprWalk(c);
-    }
-  }
-
-  void ReturnAndFilters(const ast::ReturnClause& ret, const ast::Filters& filters) {
-    for (const ast::ReturnItem& item : ret.items) {
-      ExprWalk(item.expr);
-    }
-    for (const ast::ReturnItem& item : filters.group_by) {
-      ExprWalk(item.expr);
-    }
-    if (filters.having.has_value()) {
-      ExprWalk(*filters.having);
-    }
-    for (const ast::SortKey& key : filters.sort_by) {
-      ExprWalk(key.expr);
-    }
-  }
-
-  void Multievent(const ast::MultieventQuery& mq) {
-    for (const ast::EventPattern& p : mq.patterns) {
-      Pred(p.subject.constraint);
-      Pred(p.object.constraint);
-      Pred(p.evt_constraint);
-      if (p.time_window.has_value()) {
-        Window(*p.time_window);
+        return;
       }
     }
-    ReturnAndFilters(mq.ret, mq.filters);
+    params_.push_back(ParamInfo{name, type, line});
   }
 
-  void Dependency(const ast::DependencyQuery& dq) {
-    for (const ast::EntityRef& node : dq.nodes) {
-      Pred(node.constraint);
-    }
-    ReturnAndFilters(dq.ret, dq.filters);
-  }
-
-  std::vector<ParamInfo> out_;
-  std::unordered_map<std::string, size_t> index_;
+  std::vector<ParamInfo> params_;
 };
 
-class Binder {
- public:
-  explicit Binder(const ParamSet& params) : params_(params) {}
+Status Unbound(const std::string& name, int line) {
+  return Status::Error(LinePrefix(line) + "unbound parameter $" + name +
+                       " — supply it via PreparedQuery::Bind");
+}
 
-  Status Run(ast::Query* q) {
-    Status s = Pred(&q->global.constraint);
-    if (!s.ok()) {
-      return s;
-    }
-    for (ast::TimeWindowSpec& w : q->global.time_windows) {
-      s = Window(&w);
-      if (!s.ok()) {
-        return s;
+// Writes the bound values into one site.
+Status BindSite(const ParamSet& params, AttrPredicate& leaf) {
+  for (Value& v : leaf.values) {
+    if (v.is_param()) {
+      const Value* bound = params.Find(v.param().name);
+      if (bound == nullptr) {
+        return Unbound(v.param().name, v.param().line);
       }
+      v = *bound;
     }
-    s = Multievent(&q->multievent);
-    if (!s.ok()) {
-      return s;
-    }
-    return Dependency(&q->dependency);
   }
+  leaf.PromoteWildcardEquality();
+  return Status::Ok();
+}
 
- private:
-  Status Lookup(const std::string& name, int line, const Value** out) {
-    const Value* bound = params_.Find(name);
-    if (bound == nullptr) {
-      return Status::Error(LinePrefix(line) + "unbound parameter $" + name +
-                           " — supply it via PreparedQuery::Bind");
-    }
-    *out = bound;
-    return Status::Ok();
+Status BindSite(const ParamSet& params, Expr& e) {
+  const Value* bound = params.Find(e.name);
+  if (bound == nullptr) {
+    return Unbound(e.name, e.line);
   }
+  e = bound->is_string() ? Expr::String(bound->as_string()) : Expr::Number(bound->as_double());
+  return Status::Ok();
+}
 
-  Status Pred(PredExpr* p) {
-    if (p->kind() == PredExpr::Kind::kLeaf) {
-      AttrPredicate* leaf = p->mutable_leaf();
-      bool substituted = false;
-      for (Value& v : leaf->values) {
-        if (!v.is_param()) {
-          continue;
-        }
-        const Value* bound = nullptr;
-        Status s = Lookup(v.param().name, v.param().line, &bound);
-        if (!s.ok()) {
-          return s;
-        }
-        v = *bound;
-        substituted = true;
-      }
-      // Deferred wildcard promotion: '=' against a bound string containing
-      // LIKE wildcards means LIKE, matching the parser's handling of literal
-      // values (p1["%osql%"]).
-      if (substituted && (leaf->op == CmpOp::kEq || leaf->op == CmpOp::kNe) &&
-          leaf->values.size() == 1 && leaf->values[0].is_string() &&
-          HasLikeWildcards(leaf->values[0].as_string())) {
-        leaf->op = leaf->op == CmpOp::kEq ? CmpOp::kLike : CmpOp::kNotLike;
-      }
-      return Status::Ok();
-    }
-    for (PredExpr& child : *p->mutable_children()) {
-      Status s = Pred(&child);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
-  }
-
-  // Binds one parameterized endpoint to a datetime. `range` selects whether
-  // the bound string parses as a range (at $p) or an instant (from/to $p).
-  Status Endpoint(std::string* param, int line, bool range, std::optional<TimestampMs>* instant,
-                  std::optional<TimeRange>* out_range) {
+// `at $p` binds to the range its datetime string covers, `from $p` and
+// `to $p` to instants.
+Status BindSite(const ParamSet& params, ast::TimeWindowSpec& w) {
+  auto endpoint = [&](std::string* param, auto parse, auto* out) {
     if (param->empty()) {
       return Status::Ok();
     }
-    const Value* bound = nullptr;
-    Status s = Lookup(*param, line, &bound);
-    if (!s.ok()) {
-      return s;
+    const Value* bound = params.Find(*param);
+    if (bound == nullptr) {
+      return Unbound(*param, w.line);
     }
     if (!bound->is_string()) {
-      return Status::Error(LinePrefix(line) + "parameter $" + *param +
+      return Status::Error(LinePrefix(w.line) + "parameter $" + *param +
                            " is a time-window endpoint and expects a datetime string, got " +
                            bound->ToString());
     }
-    if (range) {
-      Result<TimeRange> r = ParseDateTimeRange(bound->as_string());
-      if (!r.ok()) {
-        return Status::Error(LinePrefix(line) + "parameter $" + *param + ": " + r.error());
-      }
-      *out_range = r.value();
-    } else {
-      Result<TimestampMs> t = ParseDateTime(bound->as_string());
-      if (!t.ok()) {
-        return Status::Error(LinePrefix(line) + "parameter $" + *param + ": " + t.error());
-      }
-      *instant = t.value();
+    auto r = parse(bound->as_string());
+    if (!r.ok()) {
+      return Status::Error(LinePrefix(w.line) + "parameter $" + *param + ": " + r.error());
     }
+    *out = r.value();
     param->clear();
     return Status::Ok();
+  };
+  Status s = endpoint(&w.at_param, ParseDateTimeRange, &w.fixed);
+  if (s.ok()) {
+    s = endpoint(&w.from_param, ParseDateTime, &w.from_fixed);
   }
-
-  Status Window(ast::TimeWindowSpec* w) {
-    Status s = Endpoint(&w->at_param, w->line, /*range=*/true, nullptr, &w->fixed);
-    if (!s.ok()) {
-      return s;
-    }
-    s = Endpoint(&w->from_param, w->line, /*range=*/false, &w->from_fixed, nullptr);
-    if (!s.ok()) {
-      return s;
-    }
-    s = Endpoint(&w->to_param, w->line, /*range=*/false, &w->to_fixed, nullptr);
-    if (!s.ok()) {
-      return s;
-    }
-    if (!w->fixed.has_value() && w->from_fixed.has_value() && w->to_fixed.has_value()) {
-      w->fixed = TimeRange{*w->from_fixed, *w->to_fixed};
-    }
-    return Status::Ok();
+  if (s.ok()) {
+    s = endpoint(&w.to_param, ParseDateTime, &w.to_fixed);
   }
-
-  Status ExprWalk(Expr* e) {
-    if (e->kind == Expr::Kind::kParam) {
-      const Value* bound = nullptr;
-      Status s = Lookup(e->name, e->line, &bound);
-      if (!s.ok()) {
-        return s;
-      }
-      if (bound->is_string()) {
-        *e = Expr::String(bound->as_string());
-      } else {
-        *e = Expr::Number(bound->as_double());
-      }
-      return Status::Ok();
-    }
-    for (Expr& c : e->children) {
-      Status s = ExprWalk(&c);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
+  if (s.ok() && !w.fixed.has_value() && w.from_fixed.has_value() && w.to_fixed.has_value()) {
+    w.fixed = TimeRange{*w.from_fixed, *w.to_fixed};
   }
-
-  Status ReturnAndFilters(ast::ReturnClause* ret, ast::Filters* filters) {
-    for (ast::ReturnItem& item : ret->items) {
-      Status s = ExprWalk(&item.expr);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    for (ast::ReturnItem& item : filters->group_by) {
-      Status s = ExprWalk(&item.expr);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    if (filters->having.has_value()) {
-      Status s = ExprWalk(&*filters->having);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    for (ast::SortKey& key : filters->sort_by) {
-      Status s = ExprWalk(&key.expr);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status Multievent(ast::MultieventQuery* mq) {
-    for (ast::EventPattern& p : mq->patterns) {
-      Status s = Pred(&p.subject.constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      s = Pred(&p.object.constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      s = Pred(&p.evt_constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      if (p.time_window.has_value()) {
-        s = Window(&*p.time_window);
-        if (!s.ok()) {
-          return s;
-        }
-      }
-    }
-    return ReturnAndFilters(&mq->ret, &mq->filters);
-  }
-
-  Status Dependency(ast::DependencyQuery* dq) {
-    for (ast::EntityRef& node : dq->nodes) {
-      Status s = Pred(&node.constraint);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return ReturnAndFilters(&dq->ret, &dq->filters);
-  }
-
-  const ParamSet& params_;
-};
+  return s;
+}
 
 }  // namespace
 
 std::vector<ParamInfo> CollectParams(const ast::Query& query) {
-  return Collector().Run(query);
+  ParamList params;
+  ForEachParamSite(query, params);
+  return params.Take();
 }
 
 Status BindParams(ast::Query* query, const ParamSet& params) {
-  std::vector<ParamInfo> declared = CollectParams(*query);
-  std::set<std::string> names;
-  for (const ParamInfo& p : declared) {
-    names.insert(p.name);
-  }
+  // One walk: every site's names go to `declared` for the unknown-name check,
+  // and values are written until the first failure.
+  ParamList declared;
+  Status bound;
+  ForEachParamSite(*query, [&](auto& site) {
+    declared(site);
+    if (bound.ok()) {
+      bound = BindSite(params, site);
+    }
+  });
   for (const auto& [name, value] : params.values()) {
-    if (names.count(name) == 0) {
+    if (!declared.Declares(name)) {
       std::string known;
-      for (const ParamInfo& p : declared) {
+      for (const ParamInfo& p : declared.Take()) {
         known += known.empty() ? "$" + p.name : ", $" + p.name;
       }
       return Status::Error("unknown parameter $" + name + ": the query declares " +
                            (known.empty() ? "no parameters" : known));
     }
   }
-  return Binder(params).Run(query);
+  return bound;
 }
 
 Result<TimeRange> ResolveTimeWindow(const ast::TimeWindowSpec& spec) {
@@ -357,19 +224,8 @@ Result<TimeRange> ResolveTimeWindow(const ast::TimeWindowSpec& spec) {
                                     " in time window — prepare the query and supply it via "
                                     "PreparedQuery::Bind");
   }
-  if (spec.fixed.has_value()) {
-    return *spec.fixed;
-  }
-  // Unreachable today (every endpoint is literal or parameterized), kept for
-  // robustness: a half-bound from..to resolves to the bounded side only.
-  TimeRange out;
-  if (spec.from_fixed.has_value()) {
-    out.begin = *spec.from_fixed;
-  }
-  if (spec.to_fixed.has_value()) {
-    out.end = *spec.to_fixed;
-  }
-  return out;
+  // The parser and BindParams set `fixed` once both endpoints are known.
+  return spec.fixed.value_or(TimeRange{});
 }
 
 }  // namespace aiql

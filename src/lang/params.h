@@ -70,7 +70,8 @@ std::vector<ParamInfo> CollectParams(const ast::Query& query);
 // Substitutes `params` into `query` in place. Produces position-carrying
 // diagnostics for the three failure modes: a declared parameter with no bound
 // value, a bound name the query does not declare, and a timestamp parameter
-// bound to a value that does not parse as a datetime string.
+// bound to a value that does not parse as a datetime string. On failure the
+// query may be left partly bound, so callers bind a copy.
 Status BindParams(ast::Query* query, const ParamSet& params);
 
 // Resolves a (possibly parameterized) time window to a concrete range. An

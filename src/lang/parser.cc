@@ -1,5 +1,6 @@
 #include "src/lang/parser.h"
 
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -42,6 +43,66 @@ bool IsReservedWord(const std::string& s) {
     }
   }
   return ParseOperation(s).has_value() || IsEntityTypeName(s);
+}
+
+// One level of a flattened predicate or operation chain: its separator and
+// how two operands join.
+template <typename T>
+struct ChainLevel {
+  TokenType sep;
+  T (*join)(T, T);
+};
+
+// Attribute constraints, loosest level first: ',' < '||' < '&&'. The comma
+// separates the conjuncts of an entity or event list, as in the paper's
+// Query 3: proc p1["%/bin/cp%", agentid = 2].
+constexpr ChainLevel<PredExpr> kAttrLevels[] = {
+    {TokenType::kComma, PredExpr::And},
+    {TokenType::kOrOr, PredExpr::Or},
+    {TokenType::kAndAnd, PredExpr::And},
+};
+
+// Operation expressions over operation bitmasks: '||' < '&&'.
+constexpr ChainLevel<OpMask> kOpLevels[] = {
+    {TokenType::kOrOr, [](OpMask a, OpMask b) { return static_cast<OpMask>(a | b); }},
+    {TokenType::kAndAnd, [](OpMask a, OpMask b) { return static_cast<OpMask>(a & b); }},
+};
+
+// Binary operators of filter and return expressions by precedence level,
+// loosest first: '||' < '&&' < comparison < '+' '-' < '*' '/'. Level -1 marks
+// a token that is no binary operator.
+constexpr int kExprLevels = 5;
+constexpr int kCmpLevel = 2;  // comparisons do not chain: `a < b < c` is an error
+
+std::pair<int, BinOp> BinaryOperator(TokenType t) {
+  switch (t) {
+    case TokenType::kOrOr:
+      return {0, BinOp::kOr};
+    case TokenType::kAndAnd:
+      return {1, BinOp::kAnd};
+    case TokenType::kEq:
+      return {kCmpLevel, BinOp::kEq};
+    case TokenType::kNe:
+      return {kCmpLevel, BinOp::kNe};
+    case TokenType::kLt:
+      return {kCmpLevel, BinOp::kLt};
+    case TokenType::kLe:
+      return {kCmpLevel, BinOp::kLe};
+    case TokenType::kGt:
+      return {kCmpLevel, BinOp::kGt};
+    case TokenType::kGe:
+      return {kCmpLevel, BinOp::kGe};
+    case TokenType::kPlus:
+      return {3, BinOp::kAdd};
+    case TokenType::kMinus:
+      return {3, BinOp::kSub};
+    case TokenType::kStar:
+      return {4, BinOp::kMul};
+    case TokenType::kSlash:
+      return {4, BinOp::kDiv};
+    default:
+      return {-1, BinOp::kAdd};
+  }
 }
 
 class Parser {
@@ -150,10 +211,11 @@ class Parser {
   // --- nesting depth -------------------------------------------------------
   // Every recursive step of the three self-nesting grammars (attribute
   // predicates, operation expressions, filter/return expressions) holds one
-  // level for its duration, and so does every step of a left-associative
-  // operator chain (`a + b + c` nests `a + b` one level under the second
-  // `+`; later stages recurse over that tree). Past kMaxNestingDepth the
-  // parse fails with a positioned error instead of exhausting the stack.
+  // level for its duration, and so does every step of an expression operator
+  // chain (`a + b + c` nests `a + b` one level under the second `+`; later
+  // stages recurse over that tree). Predicate and operation chains come out
+  // flat, so their steps hold none. Past kMaxNestingDepth the parse fails
+  // with a positioned error instead of exhausting the stack.
   static constexpr int kMaxNestingDepth = 256;
   class DepthGuard {
    public:
@@ -174,6 +236,12 @@ class Parser {
     int* depth_;
     int levels_;
   };
+  // Bounds on whole-number operands: how many sliding windows back a history
+  // reference `alias[k]` may look, and the row limit of `top n` (2^53: every
+  // whole number up to it is exact as a double).
+  static constexpr int64_t kMaxHistoryOffset = 1000000;
+  static constexpr int64_t kMaxTop = int64_t{1} << 53;
+
   Status NestingTooDeep() const {
     return Status::Error("line " + std::to_string(Cur().line) + ", column " +
                          std::to_string(Cur().col) + ": nesting too deep (more than " +
@@ -201,7 +269,9 @@ class Parser {
 
   static Value TokenValue(const Token& t) {
     if (t.type == TokenType::kNumber) {
-      if (t.number == static_cast<int64_t>(t.number)) {
+      // Literals are non-negative; whole ones below 2^63 are integers, and
+      // larger ones stay doubles (casting them to int64 is undefined).
+      if (t.number < 0x1p63 && t.number == std::trunc(t.number)) {
         return Value(static_cast<int64_t>(t.number));
       }
       return Value(t.number);
@@ -218,18 +288,13 @@ class Parser {
            t.type == TokenType::kParam;
   }
 
-  // Equality against a wildcard string means LIKE (paper queries write
-  // p1["%cmd.exe"] and dstip = "XXX.129" with the same '=' surface syntax).
-  static AttrPredicate MakeLeaf(std::string attr, CmpOp op, std::vector<Value> values) {
-    if ((op == CmpOp::kEq || op == CmpOp::kNe) && values.size() == 1 && values[0].is_string() &&
-        HasLikeWildcards(values[0].as_string())) {
-      op = op == CmpOp::kEq ? CmpOp::kLike : CmpOp::kNotLike;
-    }
+  static PredExpr MakeLeaf(std::string attr, CmpOp op, std::vector<Value> values) {
     AttrPredicate p;
     p.attr = std::move(attr);
     p.op = op;
     p.values = std::move(values);
-    return p;
+    p.PromoteWildcardEquality();
+    return PredExpr::Leaf(std::move(p));
   }
 
   // --- global constraints --------------------------------------------------
@@ -280,6 +345,9 @@ class Parser {
                          EqualsIgnoreCase(Peek().text, "not")));
         if (!is_cstr) {
           return ErrStatus("unrecognized global constraint near '" + Cur().text + "'");
+        }
+        if (out->constraint.is_true()) {
+          out->line = Cur().line;
         }
         PredExpr leaf;
         Status s = ParseConstraintLeaf(&leaf);
@@ -353,21 +421,50 @@ class Parser {
     return ErrStatus("expected 'at' or 'from' in time window");
   }
 
+  // Converts `amount` of the time unit at the current token (not consumed)
+  // to milliseconds. Window, step and temporal-range durations all pass
+  // through here, and ParseDuration fails past kMaxDurationMs.
+  Status ToDuration(double amount, const char* context, DurationMs* out) {
+    if (Cur().type != TokenType::kIdent) {
+      return ErrStatus(std::string("expected a time unit in ") + context);
+    }
+    Result<DurationMs> d = ParseDuration(amount, Cur().text);
+    if (!d.ok()) {
+      return ErrStatus(d.error());
+    }
+    *out = d.value();
+    return Status::Ok();
+  }
+
   Status ParseDurationTokens(std::optional<DurationMs>* out) {
     if (Cur().type != TokenType::kNumber) {
       return ErrStatus("expected a number in duration");
     }
     double amount = Cur().number;
     Advance();
-    if (Cur().type != TokenType::kIdent) {
-      return ErrStatus("expected a time unit in duration");
+    DurationMs d = 0;
+    Status s = ToDuration(amount, "duration", &d);
+    if (!s.ok()) {
+      return s;
     }
-    Result<DurationMs> d = ParseDuration(amount, Cur().text);
-    if (!d.ok()) {
-      return ErrStatus(d.error());
+    if (d == 0) {
+      return ErrStatus("a sliding window and its step must be at least 1 ms");
     }
     Advance();
-    *out = d.value();
+    *out = d;
+    return Status::Ok();
+  }
+
+  // The current number token as a whole number in [0, max], consumed; a
+  // fraction or a number past `max` is a positioned error.
+  Status TakeWholeNumber(const char* what, int64_t max, int64_t* out) {
+    const double v = Cur().number;
+    if (!(v <= static_cast<double>(max)) || v != std::trunc(v)) {
+      return ErrStatus(std::string(what) + " must be a whole number from 0 to " +
+                       std::to_string(max) + ", found " + Describe(Cur()));
+    }
+    *out = static_cast<int64_t>(v);
+    Advance();
     return Status::Ok();
   }
 
@@ -383,7 +480,7 @@ class Parser {
         if (!IsValueToken(Cur())) {
           return ErrStatus("expected a value after comparison operator");
         }
-        *out = PredExpr::Leaf(MakeLeaf(std::move(attr), *cmp, {TokenValue(Cur())}));
+        *out = MakeLeaf(std::move(attr), *cmp, {TokenValue(Cur())});
         Advance();
         return Status::Ok();
       }
@@ -411,18 +508,14 @@ class Parser {
         if (!s.ok()) {
           return s;
         }
-        AttrPredicate p;
-        p.attr = std::move(attr);
-        p.op = negated ? CmpOp::kNotIn : CmpOp::kIn;
-        p.values = std::move(values);
-        *out = PredExpr::Leaf(std::move(p));
+        *out = MakeLeaf(std::move(attr), negated ? CmpOp::kNotIn : CmpOp::kIn, std::move(values));
         return Status::Ok();
       }
       return ErrStatus("expected a comparison or IN after attribute '" + attr + "'");
     }
     // Bare value => default attribute (inference fills the attr name).
     if (IsValueToken(Cur())) {
-      *out = PredExpr::Leaf(MakeLeaf("", CmpOp::kEq, {TokenValue(Cur())}));
+      *out = MakeLeaf("", CmpOp::kEq, {TokenValue(Cur())});
       Advance();
       return Status::Ok();
     }
@@ -445,7 +538,8 @@ class Parser {
     }
     if (Cur().type == TokenType::kLParen) {
       Advance();
-      Status s = ParseAttrOr(out);
+      // A parenthesized group admits no ',': it starts at the '||' level.
+      Status s = ParseChain(kAttrLevels, 1, &Parser::ParseAttrUnary, out);
       if (!s.ok()) {
         return s;
       }
@@ -454,59 +548,29 @@ class Parser {
     return ParseConstraintLeaf(out);
   }
 
-  Status ParseAttrAnd(PredExpr* out) {
-    PredExpr lhs;
-    Status s = ParseAttrUnary(&lhs);
+  // Parses `operand (sep operand)*` for levels[level..], loosest first, and
+  // folds left with each level's join. PredExpr::And/Or merge same-kind
+  // children and operation masks are bits, so the result is flat and a chain
+  // step holds no depth level; only the operand (ParseAttrUnary,
+  // ParseOpUnary) does.
+  template <typename T, size_t N>
+  Status ParseChain(const ChainLevel<T> (&levels)[N], size_t level, Status (Parser::*operand)(T*),
+                    T* out) {
+    if (level == N) {
+      return (this->*operand)(out);
+    }
+    Status s = ParseChain(levels, level + 1, operand, out);
     if (!s.ok()) {
       return s;
     }
-    while (Accept(TokenType::kAndAnd)) {
-      PredExpr rhs;
-      s = ParseAttrUnary(&rhs);
+    while (Accept(levels[level].sep)) {
+      T rhs{};
+      s = ParseChain(levels, level + 1, operand, &rhs);
       if (!s.ok()) {
         return s;
       }
-      lhs = PredExpr::And(std::move(lhs), std::move(rhs));
+      *out = levels[level].join(std::move(*out), std::move(rhs));
     }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseAttrOr(PredExpr* out) {
-    PredExpr lhs;
-    Status s = ParseAttrAnd(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kOrOr)) {
-      PredExpr rhs;
-      s = ParseAttrAnd(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = PredExpr::Or(std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  // Entity constraints allow comma-separated conjuncts, as in the paper's
-  // Query 3: proc p1["%/bin/cp%", agentid = 2]. Comma binds loosest.
-  Status ParseAttrList(PredExpr* out) {
-    PredExpr lhs;
-    Status s = ParseAttrOr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kComma)) {
-      PredExpr rhs;
-      s = ParseAttrOr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = PredExpr::And(std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
     return Status::Ok();
   }
 
@@ -527,7 +591,7 @@ class Parser {
     }
     if (Cur().type == TokenType::kLParen) {
       Advance();
-      Status s = ParseOpOr(out);
+      Status s = ParseChain(kOpLevels, 0, &Parser::ParseOpUnary, out);
       if (!s.ok()) {
         return s;
       }
@@ -545,42 +609,6 @@ class Parser {
     return ErrStatus("expected an operation, found " + Describe(Cur()));
   }
 
-  Status ParseOpAnd(OpMask* out) {
-    OpMask lhs = 0;
-    Status s = ParseOpUnary(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kAndAnd)) {
-      OpMask rhs = 0;
-      s = ParseOpUnary(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = static_cast<OpMask>(lhs & rhs);
-    }
-    *out = lhs;
-    return Status::Ok();
-  }
-
-  Status ParseOpOr(OpMask* out) {
-    OpMask lhs = 0;
-    Status s = ParseOpAnd(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kOrOr)) {
-      OpMask rhs = 0;
-      s = ParseOpAnd(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = static_cast<OpMask>(lhs | rhs);
-    }
-    *out = lhs;
-    return Status::Ok();
-  }
-
   // --- entities and patterns -----------------------------------------------
   Status ParseEntity(ast::EntityRef* out) {
     if (Cur().type != TokenType::kIdent || !IsEntityTypeName(Cur().text)) {
@@ -594,7 +622,7 @@ class Parser {
       Advance();
     }
     if (Accept(TokenType::kLBracket)) {
-      Status s = ParseAttrList(&out->constraint);
+      Status s = ParseChain(kAttrLevels, 0, &Parser::ParseAttrUnary, &out->constraint);
       if (!s.ok()) {
         return s;
       }
@@ -612,7 +640,7 @@ class Parser {
     if (!s.ok()) {
       return s;
     }
-    s = ParseOpOr(&out->ops);
+    s = ParseChain(kOpLevels, 0, &Parser::ParseOpUnary, &out->ops);
     if (!s.ok()) {
       return s;
     }
@@ -627,7 +655,7 @@ class Parser {
       out->evt_id = Cur().text;
       Advance();
       if (Accept(TokenType::kLBracket)) {
-        s = ParseAttrList(&out->evt_constraint);
+        s = ParseChain(kAttrLevels, 0, &Parser::ParseAttrUnary, &out->evt_constraint);
         if (!s.ok()) {
           return s;
         }
@@ -701,21 +729,22 @@ class Parser {
         }
         double hi = Cur().number;
         Advance();
-        if (Cur().type != TokenType::kIdent) {
-          return ErrStatus("expected a time unit in temporal range");
+        DurationMs lo_ms = 0;
+        DurationMs hi_ms = 0;
+        s = ToDuration(lo, "temporal range", &lo_ms);
+        if (s.ok()) {
+          s = ToDuration(hi, "temporal range", &hi_ms);
         }
-        Result<DurationMs> lo_ms = ParseDuration(lo, Cur().text);
-        Result<DurationMs> hi_ms = ParseDuration(hi, Cur().text);
-        if (!lo_ms.ok() || !hi_ms.ok()) {
-          return ErrStatus("bad time unit '" + Cur().text + "'");
+        if (!s.ok()) {
+          return s;
         }
         Advance();
         s = Expect(TokenType::kRBracket, "temporal range");
         if (!s.ok()) {
           return s;
         }
-        rel.lo = lo_ms.value();
-        rel.hi = hi_ms.value();
+        rel.lo = lo_ms;
+        rel.hi = hi_ms;
       }
       if (Cur().type != TokenType::kIdent || IsReservedWord(Cur().text)) {
         return ErrStatus("expected an event identifier after temporal operator");
@@ -769,7 +798,7 @@ class Parser {
       return Status::Ok();
     }
     if (Accept(TokenType::kLParen)) {
-      Status s = ParseExpr(out);
+      Status s = ParseBinaryExpr(out);
       if (!s.ok()) {
         return s;
       }
@@ -790,7 +819,7 @@ class Parser {
         if (Cur().type != TokenType::kRParen) {
           do {
             Expr arg;
-            Status s = ParseExpr(&arg);
+            Status s = ParseBinaryExpr(&arg);
             if (!s.ok()) {
               return s;
             }
@@ -810,13 +839,15 @@ class Parser {
       if (Cur().type == TokenType::kLBracket && Peek().type == TokenType::kNumber) {
         // History reference: alias[k].
         Advance();
-        int offset = static_cast<int>(Cur().number);
-        Advance();
-        Status s = Expect(TokenType::kRBracket, "history reference");
+        int64_t offset = 0;
+        Status s = TakeWholeNumber("history offset", kMaxHistoryOffset, &offset);
+        if (s.ok()) {
+          s = Expect(TokenType::kRBracket, "history reference");
+        }
         if (!s.ok()) {
           return s;
         }
-        *out = Expr::Hist(std::move(name), offset);
+        *out = Expr::Hist(std::move(name), static_cast<int>(offset));
         return Status::Ok();
       }
       if (Accept(TokenType::kDot)) {
@@ -859,168 +890,49 @@ class Parser {
       *out = Expr::Unary('-', std::move(inner));
       return Status::Ok();
     }
-    return ParsePrimaryExpr(out);
+    const int line = Cur().line;
+    Status s = ParsePrimaryExpr(out);
+    out->line = line;
+    return s;
   }
 
-  Status ParseMulExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseUnaryExpr(&lhs);
+  // One precedence level of the expression grammar (see BinaryOperator):
+  // operands are the next tighter level, and the tightest level's operands
+  // are unary expressions. Each chain step holds one depth level.
+  Status ParseBinaryExpr(Expr* out, int level = 0) {
+    if (level == kExprLevels) {
+      return ParseUnaryExpr(out);
+    }
+    Status s = ParseBinaryExpr(out, level + 1);
     if (!s.ok()) {
       return s;
     }
     DepthGuard chain(&depth_, 0);
     for (;;) {
-      BinOp op;
-      if (Cur().type == TokenType::kStar) {
-        op = BinOp::kMul;
-      } else if (Cur().type == TokenType::kSlash) {
-        op = BinOp::kDiv;
-      } else {
-        break;
-      }
-      chain.Deepen();
-      if (chain.exceeded()) {
-        return NestingTooDeep();
-      }
-      Advance();
-      Expr rhs;
-      s = ParseUnaryExpr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseAddExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseMulExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    DepthGuard chain(&depth_, 0);
-    for (;;) {
-      BinOp op;
-      if (Cur().type == TokenType::kPlus) {
-        op = BinOp::kAdd;
-      } else if (Cur().type == TokenType::kMinus) {
-        op = BinOp::kSub;
-      } else {
-        break;
-      }
-      chain.Deepen();
-      if (chain.exceeded()) {
-        return NestingTooDeep();
-      }
-      Advance();
-      Expr rhs;
-      s = ParseMulExpr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseCmpExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseAddExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    BinOp op;
-    switch (Cur().type) {
-      case TokenType::kEq:
-        op = BinOp::kEq;
-        break;
-      case TokenType::kNe:
-        op = BinOp::kNe;
-        break;
-      case TokenType::kLt:
-        op = BinOp::kLt;
-        break;
-      case TokenType::kLe:
-        op = BinOp::kLe;
-        break;
-      case TokenType::kGt:
-        op = BinOp::kGt;
-        break;
-      case TokenType::kGe:
-        op = BinOp::kGe;
-        break;
-      default:
-        *out = std::move(lhs);
+      auto [op_level, op] = BinaryOperator(Cur().type);
+      if (op_level != level) {
         return Status::Ok();
-    }
-    DepthGuard step(&depth_);
-    if (step.exceeded()) {
-      return NestingTooDeep();
-    }
-    Advance();
-    Expr rhs;
-    s = ParseAddExpr(&rhs);
-    if (!s.ok()) {
-      return s;
-    }
-    *out = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    return Status::Ok();
-  }
-
-  Status ParseAndExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseCmpExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    DepthGuard chain(&depth_, 0);
-    while (Cur().type == TokenType::kAndAnd) {
+      }
       chain.Deepen();
       if (chain.exceeded()) {
         return NestingTooDeep();
       }
       Advance();
       Expr rhs;
-      s = ParseCmpExpr(&rhs);
+      s = ParseBinaryExpr(&rhs, level + 1);
       if (!s.ok()) {
         return s;
       }
-      lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseAndExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    DepthGuard chain(&depth_, 0);
-    while (Cur().type == TokenType::kOrOr) {
-      chain.Deepen();
-      if (chain.exceeded()) {
-        return NestingTooDeep();
+      *out = Expr::Binary(op, std::move(*out), std::move(rhs));
+      if (level == kCmpLevel) {
+        return Status::Ok();
       }
-      Advance();
-      Expr rhs;
-      s = ParseAndExpr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs));
     }
-    *out = std::move(lhs);
-    return Status::Ok();
   }
 
   // --- return and filters ----------------------------------------------------
   Status ParseReturnItem(ast::ReturnItem* out) {
-    Status s = ParseExpr(&out->expr);
+    Status s = ParseBinaryExpr(&out->expr);
     if (!s.ok()) {
       return s;
     }
@@ -1076,7 +988,7 @@ class Parser {
       if (IsIdent("having")) {
         Advance();
         Expr e;
-        Status s = ParseExpr(&e);
+        Status s = ParseBinaryExpr(&e);
         if (!s.ok()) {
           return s;
         }
@@ -1090,7 +1002,7 @@ class Parser {
         }
         do {
           ast::SortKey key;
-          Status s = ParseExpr(&key.expr);
+          Status s = ParseBinaryExpr(&key.expr);
           if (!s.ok()) {
             return s;
           }
@@ -1110,8 +1022,12 @@ class Parser {
         if (Cur().type != TokenType::kNumber) {
           return ErrStatus("expected a number after 'top'");
         }
-        out->top = static_cast<int64_t>(Cur().number);
-        Advance();
+        int64_t top = 0;
+        Status s = TakeWholeNumber("'top'", kMaxTop, &top);
+        if (!s.ok()) {
+          return s;
+        }
+        out->top = top;
         continue;
       }
       return Status::Ok();
@@ -1174,7 +1090,7 @@ class Parser {
       if (!s.ok()) {
         return s;
       }
-      s = ParseOpOr(&edge.ops);
+      s = ParseChain(kOpLevels, 0, &Parser::ParseOpUnary, &edge.ops);
       if (!s.ok()) {
         return s;
       }

@@ -86,6 +86,13 @@ bool AttrPredicate::Eval(const Value& actual) const {
   return false;
 }
 
+void AttrPredicate::PromoteWildcardEquality() {
+  if ((op == CmpOp::kEq || op == CmpOp::kNe) && values.size() == 1 && values[0].is_string() &&
+      HasLikeWildcards(values[0].as_string())) {
+    op = op == CmpOp::kEq ? CmpOp::kLike : CmpOp::kNotLike;
+  }
+}
+
 std::string AttrPredicate::ToString() const {
   std::string out = attr;
   out += ' ';
@@ -194,19 +201,9 @@ bool PredExpr::Eval(const AttrSource& source) const {
 }
 
 size_t PredExpr::CountConstraints() const {
-  switch (kind_) {
-    case Kind::kTrue:
-      return 0;
-    case Kind::kLeaf:
-      return 1;
-    default: {
-      size_t n = 0;
-      for (const PredExpr& c : children_) {
-        n += c.CountConstraints();
-      }
-      return n;
-    }
-  }
+  size_t n = 0;
+  ForEachLeaf([&](const AttrPredicate&) { ++n; });
+  return n;
 }
 
 std::vector<Value> PredExpr::EqualityValuesFor(std::string_view attr) const {
@@ -254,13 +251,7 @@ std::vector<Value> PredExpr::EqualityValuesFor(std::string_view attr) const {
 }
 
 void PredExpr::CollectAttrs(std::vector<std::string>* out) const {
-  if (kind_ == Kind::kLeaf) {
-    out->push_back(leaf_.attr);
-    return;
-  }
-  for (const PredExpr& c : children_) {
-    c.CollectAttrs(out);
-  }
+  ForEachLeaf([&](const AttrPredicate& leaf) { out->push_back(leaf.attr); });
 }
 
 std::string PredExpr::ToString() const {

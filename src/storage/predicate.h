@@ -45,6 +45,12 @@ struct AttrPredicate {
   // Builds an IN predicate, materializing the hash set when beneficial.
   static AttrPredicate In(std::string attr, std::vector<Value> values);
 
+  // AIQL's '=' / '!=' against one string holding LIKE wildcards means LIKE /
+  // NOT LIKE (paper queries write p1["%cmd.exe"] and dstip = "XXX.129" with
+  // the same '=' surface syntax). Applied to literals at parse time and to
+  // $parameter values at bind time.
+  void PromoteWildcardEquality();
+
   bool Eval(const Value& actual) const;
   std::string ToString() const;
 };
@@ -70,9 +76,17 @@ class PredExpr {
   const AttrPredicate& leaf() const { return leaf_; }
   const std::vector<PredExpr>& children() const { return children_; }
 
-  // Mutable access for the inference pass (default-attribute resolution).
-  AttrPredicate* mutable_leaf() { return &leaf_; }
-  std::vector<PredExpr>* mutable_children() { return &children_; }
+  // Calls fn(leaf) on every atomic predicate, left to right. The non-const
+  // form lets the language layer rewrite leaves (default attributes, bound
+  // parameter values).
+  template <typename Fn>
+  void ForEachLeaf(Fn&& fn) const {
+    ForEachLeafOf(*this, fn);
+  }
+  template <typename Fn>
+  void ForEachLeaf(Fn&& fn) {
+    ForEachLeafOf(*this, fn);
+  }
 
   bool Eval(const AttrSource& source) const;
 
@@ -91,6 +105,17 @@ class PredExpr {
   std::string ToString() const;
 
  private:
+  template <typename Self, typename Fn>
+  static void ForEachLeafOf(Self& self, Fn& fn) {
+    if (self.kind_ == Kind::kLeaf) {
+      fn(self.leaf_);
+      return;
+    }
+    for (auto& child : self.children_) {
+      ForEachLeafOf(child, fn);
+    }
+  }
+
   Kind kind_ = Kind::kTrue;
   AttrPredicate leaf_;
   std::vector<PredExpr> children_;

@@ -164,16 +164,12 @@ Result<DurationMs> ParseDuration(double amount, const std::string& unit) {
   } else {
     return Result<DurationMs>::Error("unrecognized time unit: '" + unit + "'");
   }
-  return static_cast<DurationMs>(amount * static_cast<double>(scale));
-}
-
-Result<DurationMs> ParseDuration(const std::string& text) {
-  char unit[32] = {0};
-  double amount = 0;
-  if (std::sscanf(text.c_str(), "%lf %31s", &amount, unit) != 2) {
-    return Result<DurationMs>::Error("unrecognized duration: '" + text + "'");
+  const double ms = amount * static_cast<double>(scale);
+  if (!(ms >= 0 && ms <= static_cast<double>(kMaxDurationMs))) {
+    return Result<DurationMs>::Error("duration out of range: it must be from 0 to " +
+                                     std::to_string(kMaxDurationMs / kDayMs) + " days");
   }
-  return ParseDuration(amount, unit);
+  return static_cast<DurationMs>(ms);
 }
 
 std::string FormatTimestamp(TimestampMs t) {

@@ -54,10 +54,13 @@ Result<TimestampMs> ParseDateTime(const std::string& text);
 // minute precision covers that minute, etc. Used by `(at "01/01/2017")`.
 Result<TimeRange> ParseDateTimeRange(const std::string& text);
 
-// Parses "5 min", "10 sec", "1 hour", "2 days", "300 ms" into milliseconds.
-// Unit aliases: ms/millisecond(s), s/sec/second(s), min/minute(s),
-// h/hour(s), d/day(s).
-Result<DurationMs> ParseDuration(const std::string& text);
+// Longest duration a query may state (window, step, temporal range): 36,500
+// days. A timestamp plus or minus it stays far inside the int64 range.
+inline constexpr DurationMs kMaxDurationMs = 36500 * kDayMs;
+
+// Converts `amount` of `unit` ("5 min", "10 sec", "2 days", "300 ms") to
+// milliseconds; fails outside [0, kMaxDurationMs]. Unit aliases:
+// ms/millisecond(s), s/sec/second(s), min/minute(s), h/hour(s), d/day(s).
 Result<DurationMs> ParseDuration(double amount, const std::string& unit);
 
 // Formats as "YYYY-MM-DD hh:mm:ss.mmm" (UTC).

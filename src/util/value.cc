@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 namespace aiql {
 
@@ -18,7 +19,16 @@ int64_t Value::as_int() const {
     return std::get<int64_t>(v_);
   }
   if (is_double()) {
-    return static_cast<int64_t>(std::get<double>(v_));
+    // Saturates outside the int64 range (NaN reads 0): casting such a double
+    // is undefined.
+    const double d = std::get<double>(v_);
+    if (d >= 0x1p63) {
+      return std::numeric_limits<int64_t>::max();
+    }
+    if (d < -0x1p63) {
+      return std::numeric_limits<int64_t>::min();
+    }
+    return std::isnan(d) ? 0 : static_cast<int64_t>(d);
   }
   if (is_param()) {
     return 0;

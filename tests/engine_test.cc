@@ -412,6 +412,54 @@ TEST(AnomalyBudgetTest, WindowLoopStopsAtDeadline) {
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
+// Temporal ranges, windows and steps share one bounded duration conversion.
+// A range wide enough to overflow the timestamp arithmetic of the pushdown
+// bounds and the temporal join used to return no rows; now it is a
+// positioned error, and the widest accepted range still finds the row.
+TEST(TemporalRangeTest, WideRangeIsAnErrorNotAWrongAnswer) {
+  Database db;
+  const uint32_t p = db.catalog().InternProcess(1, 10, "/bin/p", "root");
+  const uint32_t f = db.catalog().InternFile(1, "/d/f");
+  db.RecordEvent(1, p, Operation::kWrite, EntityType::kFile, f, MakeTimestamp(2017, 1, 1));
+  db.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f, MakeTimestamp(2017, 1, 2));
+  db.Finalize();
+  const AiqlEngine engine(&db);
+  auto run = [&](const std::string& rel) {
+    return engine.Execute("proc p1 write file f1 as evt1\nproc p1 read file f1 as evt2\nwith " +
+                          rel + "\nreturn p1, f1");
+  };
+  for (const char* rel : {"evt1 before[0-2 days] evt2", "evt1 before[0-36500 days] evt2",
+                          "evt1 within[0-36500 days] evt2", "evt2 after[1-36500 days] evt1"}) {
+    auto r = run(rel);
+    ASSERT_TRUE(r.ok()) << rel << ": " << r.error();
+    EXPECT_EQ(r.value().num_rows(), 1u) << rel;
+  }
+  for (const char* rel :
+       {"evt1 before[0-106751991167 days] evt2", "evt1 within[0-106751991167 days] evt2",
+        "evt1 before[99999999999999999999-1 days] evt2"}) {
+    auto r = run(rel);
+    ASSERT_FALSE(r.ok()) << rel;
+    EXPECT_NE(r.error().find("line 3: duration out of range"), std::string::npos) << r.error();
+  }
+  auto window = engine.Execute(
+      "(at \"01/01/2017\") window = 99999999999999999999 days\n"
+      "proc p1 write file f1 as evt1 return p1, count(evt1.id) as n group by p1");
+  ASSERT_FALSE(window.ok());
+  EXPECT_NE(window.error().find("line 1: duration out of range"), std::string::npos)
+      << window.error();
+  // An empty window or step used to pass Prepare and fail at Run without a
+  // position.
+  for (const char* empty : {"window = 0 min", "window = 1 min, step = 0.1 ms"}) {
+    auto r = engine.Prepare(std::string("(at \"01/01/2017\") ") + empty +
+                            "\nproc p1 write file f1 as evt1 return p1, count(evt1.id) as n "
+                            "group by p1");
+    ASSERT_FALSE(r.ok()) << empty;
+    EXPECT_NE(r.error().find("line 1: a sliding window and its step must be at least 1 ms"),
+              std::string::npos)
+        << r.error();
+  }
+}
+
 // --- moving-average math ---
 
 TEST(MovingAverageTest, Sma) {

@@ -310,6 +310,135 @@ TEST(ParserErrorTest, LongOperatorChainsAreBoundedLikeNesting) {
   EXPECT_EQ(shallow.value().rows()[0][1].ToString(), "200");
 }
 
+// The precedence of the three self-nesting grammars, pinned by tree shape.
+std::string ReturnExprShape(const std::string& expr) {
+  auto r = ParseQuery("proc p1 write file f1 as evt1 return " + expr);
+  EXPECT_TRUE(r.ok()) << r.error();
+  return r.ok() ? r.value().multievent.ret.items[0].expr.ToString() : "";
+}
+
+TEST(ParserTest, ExpressionPrecedencePinned) {
+  EXPECT_EQ(ReturnExprShape("a + b * c"), "(a + (b * c))");
+  EXPECT_EQ(ReturnExprShape("a - b - c"), "((a - b) - c)");
+  EXPECT_EQ(ReturnExprShape("-a * b"), "(-a * b)");
+  EXPECT_EQ(ReturnExprShape("!a && b || c"), "((!a && b) || c)");
+  EXPECT_EQ(ReturnExprShape("a || b && c < d + e * f"), "(a || (b && (c < (d + (e * f)))))");
+  EXPECT_EQ(ReturnExprShape("a / b * c"), "((a / b) * c)");
+  EXPECT_EQ(ReturnExprShape("a < b && c >= d"), "((a < b) && (c >= d))");
+  // Comparisons do not chain.
+  for (const char* bad : {"a < b < c", "a = b != c", "a && b < c < d", "(a < b < c)"}) {
+    EXPECT_FALSE(ParseQuery(std::string("proc p1 write file f1 as evt1 return ") + bad).ok())
+        << bad;
+  }
+  EXPECT_FALSE(ParseQuery("proc p1 write file f1 as evt1 return p1, count(f1) as n "
+                          "group by p1 having n < 1 < 2")
+                   .ok());
+}
+
+TEST(ParserTest, AttributeAndOperationPrecedencePinned) {
+  auto pred = [](const std::string& cstr) {
+    auto r = ParseQuery("proc p1[" + cstr + "] write file f1 return p1");
+    EXPECT_TRUE(r.ok()) << r.error();
+    return r.ok() ? r.value().multievent.patterns[0].subject.constraint.ToString() : "";
+  };
+  // ',' binds loosest, '&&' tighter than '||'.
+  EXPECT_EQ(pred("pid = 1 || pid = 2 && pid = 3, pid = 4"),
+            "((pid = 1 || (pid = 2 && pid = 3)) && pid = 4)");
+  EXPECT_EQ(pred("pid = 1 && pid = 2 || pid = 3"), "((pid = 1 && pid = 2) || pid = 3)");
+  EXPECT_EQ(pred("!(pid = 1 || pid = 2), pid = 3"), "(!((pid = 1 || pid = 2)) && pid = 3)");
+  // A parenthesized group admits no ','.
+  EXPECT_FALSE(ParseQuery("proc p1[(pid = 1, pid = 2)] write file f1 return p1").ok());
+
+  auto ops = [](const std::string& expr) {
+    auto r = ParseQuery("proc p1 " + expr + " file f1 return p1");
+    EXPECT_TRUE(r.ok()) << r.error();
+    return r.ok() ? r.value().multievent.patterns[0].ops : OpMask{0};
+  };
+  const OpMask read = OpBit(Operation::kRead);
+  const OpMask write = OpBit(Operation::kWrite);
+  EXPECT_EQ(ops("read || write && start"), read);
+  EXPECT_EQ(ops("(read || write) && start"), OpMask{0});
+  EXPECT_EQ(ops("!(read || write)"), static_cast<OpMask>(kAllOps & ~(read | write)));
+  EXPECT_EQ(ops("!read || write"), static_cast<OpMask>(kAllOps & ~read));
+}
+
+// Predicate and op chains come out flat, so their length is not nesting.
+TEST(ParserTest, LongFlatChainsParse) {
+  std::string attr = "pid = 1";
+  std::string ops = "read";
+  for (int i = 1; i < 100000; ++i) {
+    attr += " && pid = 1";
+    ops += " || read";
+  }
+  auto a = ParseQuery("proc p1[" + attr + "] write file f1 return p1");
+  ASSERT_TRUE(a.ok()) << a.error();
+  EXPECT_EQ(a.value().multievent.patterns[0].subject.constraint.CountConstraints(), 100000u);
+  auto o = ParseQuery("proc p1 " + ops + " file f1 return p1");
+  ASSERT_TRUE(o.ok()) << o.error();
+  EXPECT_EQ(o.value().multievent.patterns[0].ops, OpBit(Operation::kRead));
+}
+
+// A number literal of 2^63 or more stays a double (casting it to int64 is
+// undefined), in constraints and expressions alike.
+TEST(ParserTest, NumberLiteralsPastInt64StayDoubles) {
+  auto value = [](const std::string& literal) {
+    auto r = ParseQuery("proc p1 write file f1 as evt1[amount > " + literal + "] return p1");
+    EXPECT_TRUE(r.ok()) << r.error();
+    return r.value().multievent.patterns[0].evt_constraint.leaf().values[0];
+  };
+  EXPECT_TRUE(value("9223372036854774784").is_int());  // largest double below 2^63
+  EXPECT_TRUE(value("9223372036854775808").is_double());
+  Value big = value("99999999999999999999");
+  ASSERT_TRUE(big.is_double());
+  EXPECT_DOUBLE_EQ(big.as_double(), 1e20);
+  EXPECT_TRUE(value("2.5").is_double());
+
+  Database db;
+  const uint32_t p = db.catalog().InternProcess(1, 10, "/bin/p", "root");
+  const uint32_t f = db.catalog().InternFile(1, "/d/f");
+  db.RecordEvent(1, p, Operation::kWrite, EntityType::kFile, f, MakeTimestamp(2017, 1, 1), 7);
+  db.Finalize();
+  const AiqlEngine engine(&db);
+  for (const char* q : {"proc p1 write file f1 as evt1[amount > 99999999999999999999] return p1",
+                        "agentid = 99999999999999999999 proc p1 write file f1 return p1",
+                        "proc p1[pid = 99999999999999999999] write file f1 return p1"}) {
+    auto r = engine.Execute(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.error();
+    EXPECT_EQ(r.value().num_rows(), 0u) << q;
+  }
+  auto r = engine.Execute("proc p1 write file f1 as evt1[amount < 99999999999999999999] return p1");
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.value().num_rows(), 1u);
+}
+
+// Whole-number operands are bounded and fail with a positioned error past
+// the bound or when fractional: a history offset used to be cast to int.
+TEST(ParserErrorTest, HistoryOffsetAndTopAreBoundedWholeNumbers) {
+  auto anomaly = [](const std::string& offset) {
+    return ParseQuery(
+        "(at \"01/01/2017\") window = 1 min\nproc p1 write file f1 as evt1\n"
+        "return p1, sum(evt1.amount) as amt group by p1\nhaving amt[" +
+        offset + "] >= 0");
+  };
+  ASSERT_TRUE(anomaly("0").ok());
+  auto max = anomaly("1000000");
+  ASSERT_TRUE(max.ok()) << max.error();
+  EXPECT_EQ(max.value().multievent.filters.having->children[0].hist_offset, 1000000);
+  for (const char* bad : {"1000001", "99999999999", "99999999999999999999", "1.5"}) {
+    auto r = anomaly(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_NE(r.error().find("line 4: history offset must be a whole number from 0 to 1000000"),
+              std::string::npos)
+        << r.error();
+  }
+  for (const char* bad : {"99999999999999999999", "2.5"}) {
+    auto r = ParseQuery(std::string("proc p1 write file f1 return p1 top ") + bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_NE(r.error().find("line 1: 'top' must be a whole number"), std::string::npos)
+        << r.error();
+  }
+}
+
 // Integer arithmetic whose result leaves the int64 range yields the double
 // instead of casting it back (undefined; it used to read INT64_MIN).
 TEST(EvalTest, IntegerOverflowYieldsDouble) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -93,12 +94,26 @@ TEST(TimeTest, MinutePrecisionRangeCoversMinute) {
 }
 
 TEST(TimeTest, ParseDurationUnits) {
-  EXPECT_EQ(ParseDuration("1 min").value(), kMinuteMs);
-  EXPECT_EQ(ParseDuration("10 sec").value(), 10 * kSecondMs);
-  EXPECT_EQ(ParseDuration("2 hours").value(), 2 * kHourMs);
-  EXPECT_EQ(ParseDuration("1 day").value(), kDayMs);
-  EXPECT_EQ(ParseDuration("250 ms").value(), 250);
-  EXPECT_FALSE(ParseDuration("5 fortnights").ok());
+  EXPECT_EQ(ParseDuration(1, "min").value(), kMinuteMs);
+  EXPECT_EQ(ParseDuration(10, "sec").value(), 10 * kSecondMs);
+  EXPECT_EQ(ParseDuration(2, "hours").value(), 2 * kHourMs);
+  EXPECT_EQ(ParseDuration(1, "day").value(), kDayMs);
+  EXPECT_EQ(ParseDuration(250, "ms").value(), 250);
+  EXPECT_EQ(ParseDuration(1.5, "MIN").value(), 90 * kSecondMs);
+  EXPECT_FALSE(ParseDuration(5, "fortnights").ok());
+}
+
+// A duration is bounded so that timestamps plus or minus it cannot overflow;
+// past the bound (or below 0) the conversion fails instead of casting an
+// out-of-range double.
+TEST(TimeTest, ParseDurationBounded) {
+  EXPECT_EQ(ParseDuration(36500, "days").value(), kMaxDurationMs);
+  EXPECT_FALSE(ParseDuration(36501, "days").ok());
+  EXPECT_FALSE(ParseDuration(106751991167.0, "days").ok());
+  EXPECT_FALSE(ParseDuration(1e20, "days").ok());
+  EXPECT_FALSE(ParseDuration(std::numeric_limits<double>::infinity(), "ms").ok());
+  EXPECT_FALSE(ParseDuration(-1, "ms").ok());
+  EXPECT_NE(ParseDuration(1e20, "days").error().find("36500 days"), std::string::npos);
 }
 
 TEST(TimeTest, DayIndexFloorsNegative) {
