@@ -74,7 +74,7 @@ Database* SharedDb() {
 void BM_EntityIndexLookup(benchmark::State& state) {
   Database* db = SharedDb();
   AttrPredicate pred;
-  pred.attr = "exe_name";
+  pred.attr = Attr::kProcExeName;
   pred.op = CmpOp::kEq;
   pred.values = {Value("/bin/p7")};
   PredExpr expr = PredExpr::Leaf(pred);
@@ -121,7 +121,7 @@ void BM_FullScan(benchmark::State& state) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "amount";
+  pred.attr = Attr::kEventAmount;
   pred.op = CmpOp::kGe;
   pred.values = {Value(int64_t{5000})};
   q.event_pred = PredExpr::Leaf(pred);
@@ -245,7 +245,7 @@ void BM_SkewedParallelScan(benchmark::State& state) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "amount";
+  pred.attr = Attr::kEventAmount;
   pred.op = CmpOp::kGe;
   pred.values = {Value(int64_t{5000})};
   q.event_pred = PredExpr::Leaf(pred);
@@ -278,7 +278,7 @@ void BM_PostingListFetch(benchmark::State& state) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "exe_name";
+  pred.attr = Attr::kProcExeName;
   pred.op = CmpOp::kEq;
   pred.values = {Value("/bin/p3")};
   q.subject_pred = PredExpr::Leaf(pred);
@@ -302,8 +302,8 @@ void BM_Join(benchmark::State& state) {
   Relationship rel;
   if (state.range(0) == 0) {  // equality hash join on subject id
     rel.kind = Relationship::Kind::kAttr;
-    rel.attr = AttrRelation{0, RefSide::kSubject, "id", CmpOp::kEq, 1, RefSide::kSubject, "id",
-                            false};
+    rel.attr = AttrRelation{0, RefSide::kSubject, Attr::kProcId, CmpOp::kEq,
+                            1, RefSide::kSubject, Attr::kProcId, false};
   } else {  // temporal join
     rel.kind = Relationship::Kind::kTemp;
     rel.temp = TempRelation{0, 1, ast::TempOrder::kBefore, std::nullopt, DurationMs{kMinuteMs}};

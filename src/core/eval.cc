@@ -6,8 +6,7 @@
 
 namespace aiql {
 
-Value EndpointValue(const EventView& e, RefSide side, const std::string& attr,
-                    const EntityCatalog& catalog) {
+Value EndpointValue(const EventView& e, RefSide side, Attr attr, const EntityCatalog& catalog) {
   std::optional<Value> v;
   switch (side) {
     case RefSide::kSubject:
@@ -17,7 +16,7 @@ Value EndpointValue(const EventView& e, RefSide side, const std::string& attr,
       v = catalog.AttrOf(e.object_type(), e.object_idx(), attr);
       break;
     case RefSide::kEvent:
-      v = GetEventAttr(e, catalog, attr);
+      v = EventAttr(e, catalog, attr);
       break;
     case RefSide::kAlias:
       break;
@@ -159,10 +158,6 @@ int AliasEnv::Intern(const std::string& name) {
 void AliasEnv::Resolve(const Expr& e) {
   switch (e.kind) {
     case Expr::Kind::kVarRef:
-      nodes_[&e] = Intern(e.resolved.has_value() && e.resolved->side == RefSide::kAlias
-                              ? e.resolved->attr
-                              : e.name);
-      break;
     case Expr::Kind::kHistRef:
       nodes_[&e] = Intern(e.name);
       break;

@@ -15,8 +15,7 @@ namespace aiql {
 
 // Value of a pattern endpoint (subject/object entity attribute or event
 // attribute) for a concrete matched event.
-Value EndpointValue(const EventView& e, RefSide side, const std::string& attr,
-                    const EntityCatalog& catalog);
+Value EndpointValue(const EventView& e, RefSide side, Attr attr, const EntityCatalog& catalog);
 
 // True if the two concrete events satisfy the relationship. `le` matches the
 // relationship's left pattern, `re` the right one.

@@ -231,9 +231,9 @@ class MultieventExecutor {
     if (rel.kind == Relationship::Kind::kAttr && rel.attr.IsEquiJoin()) {
       bool target_is_left = rel.attr.left_pattern == target;
       RefSide target_side = target_is_left ? rel.attr.left_side : rel.attr.right_side;
-      const std::string& target_attr = target_is_left ? rel.attr.left_attr : rel.attr.right_attr;
+      Attr target_attr = target_is_left ? rel.attr.left_attr : rel.attr.right_attr;
       RefSide source_side = target_is_left ? rel.attr.right_side : rel.attr.left_side;
-      const std::string& source_attr = target_is_left ? rel.attr.right_attr : rel.attr.left_attr;
+      Attr source_attr = target_is_left ? rel.attr.right_attr : rel.attr.left_attr;
 
       std::unordered_set<Value, ValueHash> distinct;
       for (const auto& row : known.rows()) {

@@ -12,8 +12,8 @@ namespace {
 // Evaluates a predicate expression against a property map (the per-edge /
 // per-node filtering cost of a graph store).
 bool EvalOnProps(const PredExpr& pred, const std::unordered_map<std::string, Value>& props) {
-  return pred.Eval([&](std::string_view attr) -> std::optional<Value> {
-    auto it = props.find(std::string(attr));
+  return pred.Eval([&](Attr a) -> std::optional<Value> {
+    auto it = props.find(std::string(AttrName(a)));
     if (it == props.end()) {
       return std::nullopt;
     }
@@ -56,13 +56,13 @@ class Matcher {
       return false;
     }
     // Spatial/temporal constraints via edge properties (graph-store cost).
-    auto ts = rel.props.find("start_time");
+    auto ts = rel.props.find(std::string(AttrName(Attr::kEventStartTime)));
     TimestampMs t = ts != rel.props.end() ? ts->second.as_int() : 0;
     if (!q.EffectiveTime().Contains(t)) {
       return false;
     }
     if (q.agent_ids.has_value()) {
-      auto ag = rel.props.find("agentid");
+      auto ag = rel.props.find(std::string(AttrName(Attr::kEventAgentId)));
       AgentId a = ag != rel.props.end() ? static_cast<AgentId>(ag->second.as_int()) : 0;
       bool found = false;
       for (AgentId want : *q.agent_ids) {
@@ -140,10 +140,10 @@ class Matcher {
       return graph_.node(obj->second).in_rels;
     }
     // Anchor via label+property index when an equality value exists.
-    std::vector<Value> anchor = q.object_pred.EqualityValuesFor(DefaultAttribute(q.object_type));
+    std::vector<Value> anchor = q.object_pred.EqualityValuesFor(DefaultAttr(q.object_type));
     bool anchor_is_object = !anchor.empty();
     if (anchor.empty()) {
-      anchor = q.subject_pred.EqualityValuesFor(DefaultAttribute(EntityType::kProcess));
+      anchor = q.subject_pred.EqualityValuesFor(DefaultAttr(EntityType::kProcess));
     }
     if (!anchor.empty()) {
       std::vector<uint32_t> rels;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <initializer_list>
+#include <limits>
 
 #include "src/util/string_utils.h"
 
@@ -51,18 +53,47 @@ Result<std::unordered_map<std::string, std::string>> ParseFields(const std::stri
   return fields;
 }
 
+// Each numeric field must fit the column it is stored in: agent ids an
+// AgentId, failure codes an int32, ports 0..65535, and timestamps
+// [kMinTimestampMs, kMaxTimestampMs], where day arithmetic cannot overflow.
+constexpr int64_t kMaxAgent = std::numeric_limits<AgentId>::max();
+constexpr int64_t kMaxPort = 65535;
+constexpr int64_t kMinFailureCode = std::numeric_limits<int32_t>::min();
+constexpr int64_t kMaxFailureCode = std::numeric_limits<int32_t>::max();
+
+Status OutOfRange(const std::string& key, int64_t lo, int64_t hi, const std::string& found) {
+  return Status::Error("field '" + key + "' must be an integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "], found '" + found + "'");
+}
+
+// The integer field `key` in [lo, hi]; `fallback` when the field is absent,
+// an error when it is required (no fallback) and absent.
 Result<int64_t> FieldInt(const std::unordered_map<std::string, std::string>& fields,
-                         const std::string& key) {
+                         const std::string& key, int64_t lo = INT64_MIN, int64_t hi = INT64_MAX,
+                         std::optional<int64_t> fallback = std::nullopt) {
   auto it = fields.find(key);
   if (it == fields.end()) {
+    if (fallback.has_value()) {
+      return *fallback;
+    }
     return Result<int64_t>::Error("missing field '" + key + "'");
   }
+  const std::string& text = it->second;
   int64_t out = 0;
-  auto [p, ec] = std::from_chars(it->second.data(), it->second.data() + it->second.size(), out);
-  if (ec != std::errc()) {
-    return Result<int64_t>::Error("field '" + key + "' is not a number: '" + it->second + "'");
+  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec != std::errc() || p != text.data() + text.size() || out < lo || out > hi) {
+    return Result<int64_t>(OutOfRange(key, lo, hi, text));
   }
   return out;
+}
+
+Status FirstError(std::initializer_list<Status> statuses) {
+  for (const Status& s : statuses) {
+    if (!s.ok()) {
+      return s;
+    }
+  }
+  return Status::Ok();
 }
 
 Result<std::string> FieldStr(const std::unordered_map<std::string, std::string>& fields,
@@ -106,18 +137,18 @@ Status AuditLogParser::IngestLine(const std::string& line) {
   }
   const auto& f = fields.value();
 
-  Result<int64_t> ts = FieldInt(f, "ts");
-  Result<int64_t> agent = FieldInt(f, "agent");
+  Result<int64_t> ts = FieldInt(f, "ts", kMinTimestampMs, kMaxTimestampMs);
+  Result<int64_t> agent = FieldInt(f, "agent", 0, kMaxAgent);
   Result<int64_t> pid = FieldInt(f, "pid");
   Result<std::string> exe = FieldStr(f, "exe");
   Result<std::string> op_name = FieldStr(f, "op");
   Result<std::string> obj = FieldStr(f, "obj");
-  for (const Status* s :
-       {&ts.status(), &agent.status(), &pid.status(), &exe.status(), &op_name.status(),
-        &obj.status()}) {
-    if (!s->ok()) {
-      return *s;
-    }
+  Result<int64_t> amount = FieldInt(f, "amount", INT64_MIN, INT64_MAX, 0);
+  Result<int64_t> fail = FieldInt(f, "fail", kMinFailureCode, kMaxFailureCode, 0);
+  if (Status s = FirstError({ts.status(), agent.status(), pid.status(), exe.status(),
+                              op_name.status(), obj.status(), amount.status(), fail.status()});
+      !s.ok()) {
+    return s;
   }
   std::optional<Operation> op = ParseOperation(op_name.value());
   if (!op.has_value()) {
@@ -126,23 +157,12 @@ Status AuditLogParser::IngestLine(const std::string& line) {
   AgentId agent_id = static_cast<AgentId>(agent.value());
   TimestampMs t = ts.value();
   if (skew_ != nullptr) {
-    t = skew_->Correct(agent_id, t);
-  }
-  int64_t amount = 0;
-  if (f.count("amount") > 0) {
-    Result<int64_t> a = FieldInt(f, "amount");
-    if (!a.ok()) {
-      return a.status();
+    std::optional<TimestampMs> corrected = skew_->Correct(agent_id, t);
+    if (!corrected.has_value() || *corrected < kMinTimestampMs || *corrected > kMaxTimestampMs) {
+      return OutOfRange("ts", kMinTimestampMs, kMaxTimestampMs,
+                        std::to_string(t) + " after clock-skew correction");
     }
-    amount = a.value();
-  }
-  int32_t fail = 0;
-  if (f.count("fail") > 0) {
-    Result<int64_t> x = FieldInt(f, "fail");
-    if (!x.ok()) {
-      return x.status();
-    }
-    fail = static_cast<int32_t>(x.value());
+    t = *corrected;
   }
 
   uint32_t subject =
@@ -156,57 +176,38 @@ Status AuditLogParser::IngestLine(const std::string& line) {
       return path.status();
     }
     uint32_t file = db_->catalog().InternFile(agent_id, path.value());
-    db_->RecordEvent(agent_id, subject, *op, EntityType::kFile, file, t, amount, fail);
+    db_->RecordEvent(agent_id, subject, *op, EntityType::kFile, file, t, amount.value(),
+                     static_cast<int32_t>(fail.value()));
     return Status::Ok();
   }
   if (kind == "proc" || kind == "process") {
     Result<int64_t> tpid = FieldInt(f, "tpid");
     Result<std::string> texe = FieldStr(f, "texe");
-    if (!tpid.ok()) {
-      return tpid.status();
-    }
-    if (!texe.ok()) {
-      return texe.status();
-    }
     // Cross-host process objects carry an explicit tagent.
-    AgentId tagent = agent_id;
-    if (f.count("tagent") > 0) {
-      Result<int64_t> ta = FieldInt(f, "tagent");
-      if (!ta.ok()) {
-        return ta.status();
-      }
-      tagent = static_cast<AgentId>(ta.value());
+    Result<int64_t> tagent = FieldInt(f, "tagent", 0, kMaxAgent, agent_id);
+    if (Status s = FirstError({tpid.status(), texe.status(), tagent.status()}); !s.ok()) {
+      return s;
     }
-    uint32_t target = db_->catalog().InternProcess(tagent, tpid.value(), texe.value());
-    db_->RecordEvent(agent_id, subject, *op, EntityType::kProcess, target, t, amount, fail);
+    uint32_t target = db_->catalog().InternProcess(static_cast<AgentId>(tagent.value()),
+                                                   tpid.value(), texe.value());
+    db_->RecordEvent(agent_id, subject, *op, EntityType::kProcess, target, t, amount.value(),
+                     static_cast<int32_t>(fail.value()));
     return Status::Ok();
   }
   if (kind == "ip" || kind == "net") {
     Result<std::string> dst = FieldStr(f, "dst");
-    if (!dst.ok()) {
-      return dst.status();
-    }
-    int64_t dport = 0;
-    if (f.count("dport") > 0) {
-      Result<int64_t> dp = FieldInt(f, "dport");
-      if (!dp.ok()) {
-        return dp.status();
-      }
-      dport = dp.value();
+    Result<int64_t> dport = FieldInt(f, "dport", 0, kMaxPort, 0);
+    Result<int64_t> sport = FieldInt(f, "sport", 0, kMaxPort, 0);
+    if (Status s = FirstError({dst.status(), dport.status(), sport.status()}); !s.ok()) {
+      return s;
     }
     std::string src = f.count("src") > 0 ? f.at("src") : "0.0.0.0";
-    int64_t sport = 0;
-    if (f.count("sport") > 0) {
-      Result<int64_t> sp = FieldInt(f, "sport");
-      if (sp.ok()) {
-        sport = sp.value();
-      }
-    }
     std::string proto = f.count("proto") > 0 ? f.at("proto") : "tcp";
     uint32_t conn = db_->catalog().InternNetwork(agent_id, src, dst.value(),
-                                                 static_cast<int32_t>(sport),
-                                                 static_cast<int32_t>(dport), proto);
-    db_->RecordEvent(agent_id, subject, *op, EntityType::kNetwork, conn, t, amount, fail);
+                                                 static_cast<int32_t>(sport.value()),
+                                                 static_cast<int32_t>(dport.value()), proto);
+    db_->RecordEvent(agent_id, subject, *op, EntityType::kNetwork, conn, t, amount.value(),
+                     static_cast<int32_t>(fail.value()));
     return Status::Ok();
   }
   return Status::Error("unknown object kind '" + kind + "'");

@@ -12,7 +12,9 @@
 //
 // Values containing spaces are double-quoted. '#' starts a comment line.
 // Malformed lines are collected (line number + reason) without aborting the
-// whole ingest, mirroring a production collector.
+// whole ingest, mirroring a production collector. A numeric field outside
+// the range of the column it lands in (agent ids, failure codes, ports,
+// timestamps; see audit_log.cc) makes its line malformed.
 //
 // ClockSkewCorrector implements the paper's §3.2 "Time Synchronization":
 // per-agent clock offsets are estimated from (agent timestamp, server
@@ -21,6 +23,7 @@
 #ifndef AIQL_SRC_INGEST_AUDIT_LOG_H_
 #define AIQL_SRC_INGEST_AUDIT_LOG_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,7 +41,12 @@ class ClockSkewCorrector {
     auto it = offsets_.find(agent);
     return it == offsets_.end() ? 0 : it->second;
   }
-  TimestampMs Correct(AgentId agent, TimestampMs t) const { return t + OffsetOf(agent); }
+  // `t` plus the agent's offset; nullopt when the sum overflows.
+  std::optional<TimestampMs> Correct(AgentId agent, TimestampMs t) const {
+    TimestampMs out = 0;
+    return __builtin_add_overflow(t, OffsetOf(agent), &out) ? std::nullopt
+                                                             : std::optional<TimestampMs>(out);
+  }
 
   // Median offset from (agent_ts, server_ts) sample pairs.
   static DurationMs EstimateOffset(

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "src/storage/attributes.h"
+
 namespace aiql {
 
 // Where a resolved variable reference points.
@@ -21,7 +23,7 @@ enum class RefSide : uint8_t { kSubject, kObject, kEvent, kAlias };
 struct ResolvedRef {
   size_t pattern = 0;   // event-pattern index (unused for kAlias)
   RefSide side = RefSide::kSubject;
-  std::string attr;     // resolved attribute (or alias name for kAlias)
+  Attr attr = Attr::kEventId;  // unused for kAlias: the alias is the node's name
 };
 
 enum class BinOp : uint8_t {

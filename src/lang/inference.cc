@@ -1,5 +1,7 @@
 // Context-aware inference: resolves AIQL syntax shortcuts (paper §4.1) and
 // rewrites dependency queries into multievent queries (paper §5.1).
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -22,58 +24,71 @@ Status LineError(int line, const std::string& message) {
   return Status::Error("line " + std::to_string(line) + ": " + message);
 }
 
-// Fills empty attribute names with the entity type's default attribute and
-// validates the rest (paper: "default attribute names will be inferred if
-// users specify only attribute values in an event pattern").
-Status ResolveEntityPred(PredExpr* pred, EntityType type, int line) {
-  Status s;
-  pred->ForEachLeaf([&](AttrPredicate& leaf) {
-    if (!s.ok()) {
-      return;
-    }
-    if (leaf.attr.empty()) {
-      leaf.attr = DefaultAttribute(type);
-    }
-    leaf.attr = CanonicalAttrName(leaf.attr);
-    if (!IsEntityAttr(type, leaf.attr)) {
-      s = LineError(line, "'" + leaf.attr + "' is not an attribute of " + EntityTypeName(type) +
-                              " entities");
-    }
-  });
-  return s;
+// "'x' is not an event attribute" / "... an attribute of file entities" /
+// "... an attribute of file entity 'f1'".
+Status UnknownAttr(const std::string& spelling, AttrOwner owner, int line,
+                   const std::string& entity = "") {
+  if (owner == AttrOwner::kEvent) {
+    return LineError(line, "'" + spelling + "' is not an event attribute");
+  }
+  std::string type = EntityTypeName(static_cast<EntityType>(owner));
+  return LineError(line, "'" + spelling + "' is not an attribute of " + type +
+                             (entity.empty() ? " entities" : " entity '" + entity + "'"));
 }
 
-Status ResolveEventPred(PredExpr* pred, int line) {
+// Resolves every leaf's spelling to an attribute of `owner`; an empty one is
+// the entity type's default attribute (paper: "default attribute names will
+// be inferred if users specify only attribute values in an event pattern").
+// Agent ids scope partitions by number, so a string on agentid is an error
+// rather than agent 0.
+Status ResolvePred(PredExpr* pred, AttrOwner owner, int line) {
   Status s;
   pred->ForEachLeaf([&](AttrPredicate& leaf) {
     if (!s.ok()) {
       return;
     }
-    if (leaf.attr.empty()) {
+    std::optional<Attr> attr;
+    if (!leaf.name.empty()) {
+      attr = ResolveAttr(owner, leaf.name);
+    } else if (owner != AttrOwner::kEvent) {
+      attr = DefaultAttr(static_cast<EntityType>(owner));
+    } else {
       s = LineError(line, "event constraints need explicit attribute names");
       return;
     }
-    leaf.attr = CanonicalAttrName(leaf.attr);
-    if (!IsEventAttr(leaf.attr)) {
-      s = LineError(line, "'" + leaf.attr + "' is not an event attribute");
+    if (!attr.has_value()) {
+      s = UnknownAttr(leaf.name, owner, line);
+      return;
+    }
+    leaf.attr = *attr;
+    if (leaf.attr != AgentIdAttr(owner)) {
+      return;
+    }
+    for (const Value& v : leaf.values) {
+      if (v.is_string()) {
+        s = LineError(line, "agentid takes an integer agent id, found \"" + v.as_string() + "\"");
+        return;
+      }
     }
   });
   return s;
 }
 
-// Extracts agent ids pinned by equality/IN on agentid for partition pruning.
-std::optional<std::vector<AgentId>> AgentIdsFromPred(const PredExpr& pred) {
-  std::vector<Value> values = pred.EqualityValuesFor("agentid");
-  if (values.empty()) {
-    values = pred.EqualityValuesFor("agent_id");
-  }
+// Extracts agent ids pinned by equality/IN on `agent_attr` for partition
+// pruning. A number no agent id can hold (a fraction, a negative, one past
+// 2^32 - 1) matches no agent, so it adds none.
+std::optional<std::vector<AgentId>> AgentIdsFromPred(const PredExpr& pred, Attr agent_attr) {
+  std::vector<Value> values = pred.EqualityValuesFor(agent_attr);
   if (values.empty()) {
     return std::nullopt;
   }
   std::vector<AgentId> agents;
   agents.reserve(values.size());
   for (const Value& v : values) {
-    agents.push_back(static_cast<AgentId>(v.as_int()));
+    const double d = v.as_double();
+    if (d >= 0 && d <= std::numeric_limits<AgentId>::max() && d == std::trunc(d)) {
+      agents.push_back(static_cast<AgentId>(d));
+    }
   }
   return agents;
 }
@@ -169,28 +184,27 @@ class Resolver {
     ctx_.global_time = time;
     ctx_.window = global.window;
     ctx_.step = global.step;
-    ctx_.global_agents = AgentIdsFromPred(global.constraint);
-
-    // Non-agent global constraints apply to every pattern's event predicate.
-    if (!global.constraint.is_true()) {
-      Status s = CollectGlobalEventPreds(global.constraint, global.line);
-      if (!s.ok()) {
-        return s;
-      }
+    PredExpr constraint = global.constraint;
+    Status s = ResolvePred(&constraint, AttrOwner::kEvent, global.line);
+    if (!s.ok()) {
+      return s;
     }
-    return Status::Ok();
+    return CollectGlobalEventPreds(constraint, global.line);
   }
 
   Status CollectGlobalEventPreds(const PredExpr& pred, int line) {
+    if (pred.kind() == PredExpr::Kind::kTrue) {
+      return Status::Ok();
+    }
     if (pred.kind() == PredExpr::Kind::kLeaf) {
-      const AttrPredicate& leaf = pred.leaf();
-      if (leaf.attr == "agentid" || leaf.attr == "agent_id") {
-        return Status::Ok();  // handled via global_agents
+      // Agent equalities scope partitions through global_agents; every other
+      // comparison filters each pattern's events.
+      std::optional<std::vector<AgentId>> agents = AgentIdsFromPred(pred, Attr::kEventAgentId);
+      if (agents.has_value()) {
+        ctx_.global_agents = IntersectAgents(ctx_.global_agents, agents);
+      } else {
+        global_event_pred_ = PredExpr::And(std::move(global_event_pred_), pred);
       }
-      if (!IsEventAttr(leaf.attr)) {
-        return LineError(line, "global constraint on '" + leaf.attr + "' is not an event attribute");
-      }
-      global_event_pred_ = PredExpr::And(std::move(global_event_pred_), PredExpr::Leaf(leaf));
       return Status::Ok();
     }
     if (pred.kind() == PredExpr::Kind::kAnd) {
@@ -225,11 +239,11 @@ class Resolver {
     AttrRelation rel;
     rel.left_pattern = prev_pattern;
     rel.left_side = prev_side;
-    rel.left_attr = "id";
+    rel.left_attr = IdAttr(OwnerOf(type));
     rel.op = CmpOp::kEq;
     rel.right_pattern = pattern;
     rel.right_side = side;
-    rel.right_attr = "id";
+    rel.right_attr = rel.left_attr;
     rel.implicit = true;
     ctx_.attr_rels.push_back(rel);
     last_occurrence_[var] = {pattern, side};
@@ -267,17 +281,17 @@ class Resolver {
       q.op_mask = p.ops;
       q.object_type = p.object.type;
       q.subject_pred = p.subject.constraint;
-      s = ResolveEntityPred(&q.subject_pred, EntityType::kProcess, p.line);
+      s = ResolvePred(&q.subject_pred, AttrOwner::kProcess, p.line);
       if (!s.ok()) {
         return s;
       }
       q.object_pred = p.object.constraint;
-      s = ResolveEntityPred(&q.object_pred, p.object.type, p.line);
+      s = ResolvePred(&q.object_pred, OwnerOf(p.object.type), p.line);
       if (!s.ok()) {
         return s;
       }
       q.event_pred = p.evt_constraint;
-      s = ResolveEventPred(&q.event_pred, p.line);
+      s = ResolvePred(&q.event_pred, AttrOwner::kEvent, p.line);
       if (!s.ok()) {
         return s;
       }
@@ -299,48 +313,39 @@ class Resolver {
       // process always runs on the host that records the event, so its agent
       // pins the event's agent; the object may be remote (cross-host
       // connects), so object agentid constraints stay entity-level only.
-      q.agent_ids = IntersectAgents(ctx_.global_agents, AgentIdsFromPred(q.subject_pred));
+      q.agent_ids = IntersectAgents(ctx_.global_agents,
+                                    AgentIdsFromPred(q.subject_pred, Attr::kProcAgentId));
 
       ctx_.patterns.push_back(std::move(pc));
     }
     return Status::Ok();
   }
 
-  Status ResolveEndpoint(const std::string& id, const std::string& attr, int line,
-                         size_t* pattern, RefSide* side, std::string* out_attr) {
-    auto b = bindings_.find(id);
-    if (b != bindings_.end()) {
+  // The attribute `spelling` names on the entity or event `id`; an empty
+  // spelling is the id ("id will be used as the default attribute").
+  Status ResolveEndpoint(const std::string& id, const std::string& spelling, int line,
+                         size_t* pattern, RefSide* side, Attr* attr) {
+    AttrOwner owner = AttrOwner::kEvent;
+    if (auto b = bindings_.find(id); b != bindings_.end()) {
       *pattern = b->second.pattern;
       *side = b->second.side;
-      if (attr.empty()) {
-        *out_attr = "id";  // paper: "id will be used as the default attribute"
-      } else {
-        EntityType t = b->second.type;
-        std::string canonical = CanonicalAttrName(attr);
-        if (!IsEntityAttr(t, canonical)) {
-          return LineError(line, "'" + attr + "' is not an attribute of " + EntityTypeName(t) +
-                                     " entity '" + id + "'");
-        }
-        *out_attr = canonical;
-      }
-      return Status::Ok();
-    }
-    auto e = evt_ids_.find(id);
-    if (e != evt_ids_.end()) {
+      owner = OwnerOf(b->second.type);
+    } else if (auto e = evt_ids_.find(id); e != evt_ids_.end()) {
       *pattern = e->second;
       *side = RefSide::kEvent;
-      if (attr.empty()) {
+      if (spelling.empty()) {
         return LineError(line, "event reference '" + id + "' needs an attribute, e.g. '" + id +
                                    ".amount'");
       }
-      std::string canonical = CanonicalAttrName(attr);
-      if (!IsEventAttr(canonical)) {
-        return LineError(line, "'" + attr + "' is not an event attribute");
-      }
-      *out_attr = canonical;
-      return Status::Ok();
+    } else {
+      return LineError(line, "unknown identifier '" + id + "' in relationship");
     }
-    return LineError(line, "unknown identifier '" + id + "' in relationship");
+    std::optional<Attr> a = spelling.empty() ? IdAttr(owner) : ResolveAttr(owner, spelling);
+    if (!a.has_value()) {
+      return UnknownAttr(spelling, owner, line, id);
+    }
+    *attr = *a;
+    return Status::Ok();
   }
 
   Status ResolveRelationships(const ast::MultieventQuery& mq) {
@@ -390,28 +395,27 @@ class Resolver {
         return LineError(e->line, "unbound parameter $" + e->name);
       case Expr::Kind::kVarRef: {
         if (aliases_visible && e->attr.empty() && aliases_.count(e->name) > 0) {
-          e->resolved = ResolvedRef{0, RefSide::kAlias, e->name};
+          e->resolved = ResolvedRef{.side = RefSide::kAlias};
           return Status::Ok();
         }
-        auto b = bindings_.find(e->name);
-        if (b != bindings_.end()) {
-          std::string attr = CanonicalAttrName(e->attr);
-          if (attr.empty()) {
-            attr = DefaultAttribute(b->second.type);  // return p2 -> p2.exe_name
-          } else if (!IsEntityAttr(b->second.type, attr)) {
-            return LineError(e->line,
-                             "'" + attr + "' is not an attribute of entity '" + e->name + "'");
+        if (auto b = bindings_.find(e->name); b != bindings_.end()) {
+          const AttrOwner owner = OwnerOf(b->second.type);
+          std::optional<Attr> attr = e->attr.empty()
+                                         ? DefaultAttr(b->second.type)  // return p2 -> p2.exe_name
+                                         : ResolveAttr(owner, e->attr);
+          if (!attr.has_value()) {
+            return UnknownAttr(e->attr, owner, e->line, e->name);
           }
-          e->resolved = ResolvedRef{b->second.pattern, b->second.side, attr};
+          e->resolved = ResolvedRef{b->second.pattern, b->second.side, *attr};
           return Status::Ok();
         }
-        auto ev = evt_ids_.find(e->name);
-        if (ev != evt_ids_.end()) {
-          std::string attr = e->attr.empty() ? "id" : CanonicalAttrName(e->attr);
-          if (!IsEventAttr(attr)) {
-            return LineError(e->line, "'" + attr + "' is not an event attribute");
+        if (auto ev = evt_ids_.find(e->name); ev != evt_ids_.end()) {
+          std::optional<Attr> attr =
+              e->attr.empty() ? Attr::kEventId : ResolveAttr(AttrOwner::kEvent, e->attr);
+          if (!attr.has_value()) {
+            return UnknownAttr(e->attr, AttrOwner::kEvent, e->line);
           }
-          e->resolved = ResolvedRef{ev->second, RefSide::kEvent, attr};
+          e->resolved = ResolvedRef{ev->second, RefSide::kEvent, *attr};
           return Status::Ok();
         }
         if (aliases_visible) {
@@ -427,7 +431,7 @@ class Resolver {
         if (!ctx_.window.has_value()) {
           return LineError(e->line, "history references need a sliding window (window = ...)");
         }
-        e->resolved = ResolvedRef{0, RefSide::kAlias, e->name};
+        e->resolved = ResolvedRef{.side = RefSide::kAlias};
         return Status::Ok();
       }
       case Expr::Kind::kCall: {
@@ -443,7 +447,7 @@ class Resolver {
             return LineError(e->line, "the first argument of " + e->func +
                                  "() must be a return alias");
           }
-          e->children[0].resolved = ResolvedRef{0, RefSide::kAlias, e->children[0].name};
+          e->children[0].resolved = ResolvedRef{.side = RefSide::kAlias};
           return Status::Ok();
         }
         for (Expr& arg : e->children) {

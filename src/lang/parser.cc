@@ -290,7 +290,7 @@ class Parser {
 
   static PredExpr MakeLeaf(std::string attr, CmpOp op, std::vector<Value> values) {
     AttrPredicate p;
-    p.attr = std::move(attr);
+    p.name = std::move(attr);
     p.op = op;
     p.values = std::move(values);
     p.PromoteWildcardEquality();

@@ -36,11 +36,11 @@ struct PatternContext {
 struct AttrRelation {
   size_t left_pattern = 0;
   RefSide left_side = RefSide::kSubject;
-  std::string left_attr;
+  Attr left_attr = Attr::kEventId;
   CmpOp op = CmpOp::kEq;
   size_t right_pattern = 0;
   RefSide right_side = RefSide::kSubject;
-  std::string right_attr;
+  Attr right_attr = Attr::kEventId;
   bool implicit = false;  // lowered from entity-ID reuse
 
   bool IsIntraPattern() const { return left_pattern == right_pattern; }

@@ -120,23 +120,13 @@ StorageFootprint Database::Footprint() const {
 }
 
 void Database::BuildEntityIndexes() {
-  file_name_index_.clear();
-  proc_exe_index_.clear();
-  net_dstip_index_.clear();
-  if (!options_.build_indexes) {
-    return;
-  }
-  const auto& files = catalog_->files();
-  for (uint32_t i = 0; i < files.size(); ++i) {
-    file_name_index_[ToLower(files[i].name)].push_back(i);
-  }
-  const auto& procs = catalog_->processes();
-  for (uint32_t i = 0; i < procs.size(); ++i) {
-    proc_exe_index_[ToLower(procs[i].exe_name)].push_back(i);
-  }
-  const auto& nets = catalog_->networks();
-  for (uint32_t i = 0; i < nets.size(); ++i) {
-    net_dstip_index_[ToLower(nets[i].dst_ip)].push_back(i);
+  for (EntityType t : {EntityType::kFile, EntityType::kProcess, EntityType::kNetwork}) {
+    auto& index = default_attr_index_[static_cast<int>(t)];
+    index.clear();
+    const Attr attr = DefaultAttr(t);
+    for (uint32_t i = 0; options_.build_indexes && i < catalog_->CountOf(t); ++i) {
+      index[ToLower(catalog_->AttrOf(t, i, attr)->ToString())].push_back(i);
+    }
   }
 }
 
@@ -155,20 +145,9 @@ std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
 
   // Index fast path: exact values on the default attribute.
   if (options_.build_indexes) {
-    std::vector<Value> values = pred.EqualityValuesFor(DefaultAttribute(t));
+    std::vector<Value> values = pred.EqualityValuesFor(DefaultAttr(t));
     if (!values.empty()) {
-      const std::unordered_map<std::string, std::vector<uint32_t>>* index = nullptr;
-      switch (t) {
-        case EntityType::kFile:
-          index = &file_name_index_;
-          break;
-        case EntityType::kProcess:
-          index = &proc_exe_index_;
-          break;
-        case EntityType::kNetwork:
-          index = &net_dstip_index_;
-          break;
-      }
+      const auto& index = default_attr_index_[static_cast<int>(t)];
       // Index keys are interned lowercase at Finalize(); fold each candidate
       // value into a reused scratch buffer instead of allocating two strings
       // per value (pushdown IN lists reach 10^5 candidates per query).
@@ -180,15 +159,15 @@ std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
         } else {
           ToLowerInto(v.ToString(), &key_scratch);
         }
-        auto it = index->find(key_scratch);
-        if (it == index->end()) {
+        auto it = index.find(key_scratch);
+        if (it == index.end()) {
           continue;
         }
         for (uint32_t idx : it->second) {
           if (!agent_ok(catalog_->AgentOf(t, idx))) {
             continue;
           }
-          auto source = [&](std::string_view attr) { return catalog_->AttrOf(t, idx, attr); };
+          auto source = [&](Attr a) { return catalog_->AttrOf(t, idx, a); };
           if (pred.Eval(source)) {
             out.push_back(idx);
           }
@@ -206,7 +185,7 @@ std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
     if (!agent_ok(catalog_->AgentOf(t, idx))) {
       continue;
     }
-    auto source = [&](std::string_view attr) { return catalog_->AttrOf(t, idx, attr); };
+    auto source = [&](Attr a) { return catalog_->AttrOf(t, idx, a); };
     if (pred.Eval(source)) {
       out.push_back(idx);
     }

@@ -296,10 +296,9 @@ class Database : public EventStore {
   TimeRange data_range_{INT64_MAX, INT64_MIN};
   bool finalized_ = false;
 
-  // Exact-value entity indexes: lowercase(default attr value) -> indices.
-  std::unordered_map<std::string, std::vector<uint32_t>> file_name_index_;
-  std::unordered_map<std::string, std::vector<uint32_t>> proc_exe_index_;
-  std::unordered_map<std::string, std::vector<uint32_t>> net_dstip_index_;
+  // Exact-value entity indexes, one per EntityType: lowercase(default
+  // attribute value) -> catalog indices.
+  std::unordered_map<std::string, std::vector<uint32_t>> default_attr_index_[3];
 };
 
 // One segment's share of a scan: a store and a plan that store made.

@@ -1,5 +1,7 @@
 #include "src/storage/entity.h"
 
+#include "src/storage/attributes.h"
+
 namespace aiql {
 namespace {
 
@@ -18,123 +20,6 @@ std::string NetKey(AgentId agent, const std::string& src_ip, const std::string& 
 }
 
 }  // namespace
-
-std::string CanonicalAttrName(std::string_view attr) {
-  struct Alias {
-    std::string_view from;
-    std::string_view to;
-  };
-  static constexpr Alias kAliases[] = {
-      {"dstip", "dst_ip"},         {"srcip", "src_ip"},
-      {"dstport", "dst_port"},     {"srcport", "src_port"},
-      {"exename", "exe_name"},     {"agent_id", "agentid"},
-      {"volid", "vol_id"},         {"dataid", "data_id"},
-      {"starttime", "start_time"}, {"endtime", "end_time"},
-      {"sequence", "seq"},         {"failurecode", "failure_code"},
-      {"access", "failure_code"},  {"op", "optype"},
-      {"operation", "optype"},     {"subjectid", "subject_id"},
-      {"objectid", "object_id"},   {"sig", "signature"},
-  };
-  for (const Alias& a : kAliases) {
-    if (attr == a.from) {
-      return std::string(a.to);
-    }
-  }
-  return std::string(attr);
-}
-
-std::optional<Value> GetAttr(const FileEntity& e, std::string_view attr) {
-  if (attr == "name") {
-    return Value(e.name);
-  }
-  if (attr == "id") {
-    return Value(e.id);
-  }
-  if (attr == "agentid" || attr == "agent_id") {
-    return Value(static_cast<int64_t>(e.agent_id));
-  }
-  if (attr == "owner") {
-    return Value(e.owner);
-  }
-  if (attr == "group") {
-    return Value(e.group);
-  }
-  if (attr == "vol_id" || attr == "volid") {
-    return Value(e.vol_id);
-  }
-  if (attr == "data_id" || attr == "dataid") {
-    return Value(e.data_id);
-  }
-  return std::nullopt;
-}
-
-std::optional<Value> GetAttr(const ProcessEntity& e, std::string_view attr) {
-  if (attr == "exe_name" || attr == "exename" || attr == "name") {
-    return Value(e.exe_name);
-  }
-  if (attr == "id") {
-    return Value(e.id);
-  }
-  if (attr == "agentid" || attr == "agent_id") {
-    return Value(static_cast<int64_t>(e.agent_id));
-  }
-  if (attr == "pid") {
-    return Value(e.pid);
-  }
-  if (attr == "user") {
-    return Value(e.user);
-  }
-  if (attr == "cmd") {
-    return Value(e.cmd);
-  }
-  if (attr == "signature" || attr == "sig") {
-    return Value(e.signature);
-  }
-  return std::nullopt;
-}
-
-std::optional<Value> GetAttr(const NetworkEntity& e, std::string_view attr) {
-  if (attr == "dst_ip" || attr == "dstip") {
-    return Value(e.dst_ip);
-  }
-  if (attr == "id") {
-    return Value(e.id);
-  }
-  if (attr == "agentid" || attr == "agent_id") {
-    return Value(static_cast<int64_t>(e.agent_id));
-  }
-  if (attr == "src_ip" || attr == "srcip") {
-    return Value(e.src_ip);
-  }
-  if (attr == "src_port" || attr == "srcport") {
-    return Value(static_cast<int64_t>(e.src_port));
-  }
-  if (attr == "dst_port" || attr == "dstport") {
-    return Value(static_cast<int64_t>(e.dst_port));
-  }
-  if (attr == "protocol") {
-    return Value(e.protocol);
-  }
-  return std::nullopt;
-}
-
-bool IsEntityAttr(EntityType t, std::string_view attr) {
-  switch (t) {
-    case EntityType::kFile: {
-      static const FileEntity probe{};
-      return GetAttr(probe, attr).has_value();
-    }
-    case EntityType::kProcess: {
-      static const ProcessEntity probe{};
-      return GetAttr(probe, attr).has_value();
-    }
-    case EntityType::kNetwork: {
-      static const NetworkEntity probe{};
-      return GetAttr(probe, attr).has_value();
-    }
-  }
-  return false;
-}
 
 uint32_t EntityCatalog::InternFile(AgentId agent, const std::string& name,
                                    const std::string& owner, const std::string& group) {
@@ -237,17 +122,56 @@ AgentId EntityCatalog::AgentOf(EntityType t, uint32_t idx) const {
   return 0;
 }
 
-std::optional<Value> EntityCatalog::AttrOf(EntityType t, uint32_t idx,
-                                           std::string_view attr) const {
-  switch (t) {
-    case EntityType::kFile:
-      return GetAttr(files_[idx], attr);
-    case EntityType::kProcess:
-      return GetAttr(processes_[idx], attr);
-    case EntityType::kNetwork:
-      return GetAttr(networks_[idx], attr);
+std::optional<Value> EntityCatalog::AttrOf(EntityType t, uint32_t idx, Attr a) const {
+  if (InfoOf(a).owner != OwnerOf(t)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  switch (a) {
+    case Attr::kFileName:
+      return Value(files_[idx].name);
+    case Attr::kFileId:
+      return Value(files_[idx].id);
+    case Attr::kFileAgentId:
+      return Value(static_cast<int64_t>(files_[idx].agent_id));
+    case Attr::kFileOwner:
+      return Value(files_[idx].owner);
+    case Attr::kFileGroup:
+      return Value(files_[idx].group);
+    case Attr::kFileVolId:
+      return Value(files_[idx].vol_id);
+    case Attr::kFileDataId:
+      return Value(files_[idx].data_id);
+    case Attr::kProcExeName:
+      return Value(processes_[idx].exe_name);
+    case Attr::kProcId:
+      return Value(processes_[idx].id);
+    case Attr::kProcAgentId:
+      return Value(static_cast<int64_t>(processes_[idx].agent_id));
+    case Attr::kProcPid:
+      return Value(processes_[idx].pid);
+    case Attr::kProcUser:
+      return Value(processes_[idx].user);
+    case Attr::kProcCmd:
+      return Value(processes_[idx].cmd);
+    case Attr::kProcSignature:
+      return Value(processes_[idx].signature);
+    case Attr::kIpDstIp:
+      return Value(networks_[idx].dst_ip);
+    case Attr::kIpId:
+      return Value(networks_[idx].id);
+    case Attr::kIpAgentId:
+      return Value(static_cast<int64_t>(networks_[idx].agent_id));
+    case Attr::kIpSrcIp:
+      return Value(networks_[idx].src_ip);
+    case Attr::kIpSrcPort:
+      return Value(static_cast<int64_t>(networks_[idx].src_port));
+    case Attr::kIpDstPort:
+      return Value(static_cast<int64_t>(networks_[idx].dst_port));
+    case Attr::kIpProtocol:
+      return Value(networks_[idx].protocol);
+    default:
+      return std::nullopt;  // event attributes
+  }
 }
 
 }  // namespace aiql

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,20 +38,8 @@ constexpr const char* EntityTypeName(EntityType t) {
   return "?";
 }
 
-// The default attribute used when a query gives only a literal value, e.g.
-// file[".viminfo"] -> name, proc["%osql%"] -> exe_name, ip["x.x.x.x"] -> dst_ip
-// (paper §4.1 "Context-Aware Syntax Shortcuts").
-constexpr const char* DefaultAttribute(EntityType t) {
-  switch (t) {
-    case EntityType::kFile:
-      return "name";
-    case EntityType::kProcess:
-      return "exe_name";
-    case EntityType::kNetwork:
-      return "dst_ip";
-  }
-  return "id";
-}
+// The attribute schema (attributes.h); declared here for EntityCatalog::AttrOf.
+enum class Attr : uint8_t;
 
 struct FileEntity {
   int64_t id = 0;
@@ -84,21 +71,6 @@ struct NetworkEntity {
   std::string protocol;  // "tcp" / "udp"
 };
 
-// Attribute access by name. Returns nullopt for unknown attributes.
-std::optional<Value> GetAttr(const FileEntity& e, std::string_view attr);
-std::optional<Value> GetAttr(const ProcessEntity& e, std::string_view attr);
-std::optional<Value> GetAttr(const NetworkEntity& e, std::string_view attr);
-
-// Canonical spelling of an entity/event attribute alias (dstip -> dst_ip,
-// exename -> exe_name, access -> failure_code, ...). Unknown names pass
-// through unchanged. The inference pass canonicalizes all resolved attribute
-// names so every engine (including the property-graph store, which keys its
-// property maps by canonical names) sees one spelling.
-std::string CanonicalAttrName(std::string_view attr);
-
-// True if `attr` names a valid attribute of entity type `t`.
-bool IsEntityAttr(EntityType t, std::string_view attr);
-
 // Interning catalog. Indices returned by the Intern* calls are dense per-type
 // and stable for the lifetime of the catalog.
 class EntityCatalog {
@@ -120,7 +92,9 @@ class EntityCatalog {
   size_t CountOf(EntityType t) const;
   int64_t IdOf(EntityType t, uint32_t idx) const;
   AgentId AgentOf(EntityType t, uint32_t idx) const;
-  std::optional<Value> AttrOf(EntityType t, uint32_t idx, std::string_view attr) const;
+  // Value of attribute `a` of entity (t, idx); nullopt when `a` belongs to
+  // another owner.
+  std::optional<Value> AttrOf(EntityType t, uint32_t idx, Attr a) const;
 
   size_t total_entities() const { return files_.size() + processes_.size() + networks_.size(); }
 

@@ -39,54 +39,31 @@ std::optional<Operation> ParseOperation(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catalog,
-                                  std::string_view attr) {
-  if (attr == "id") {
-    return Value(v.id());
+std::optional<Value> EventAttr(const EventView& v, const EntityCatalog& catalog, Attr a) {
+  switch (a) {
+    case Attr::kEventId:
+      return Value(v.id());
+    case Attr::kEventSeq:
+      return Value(v.seq());
+    case Attr::kEventAgentId:
+      return Value(static_cast<int64_t>(v.agent_id()));
+    case Attr::kEventOptype:
+      return Value(OperationName(v.op()));
+    case Attr::kEventStartTime:
+      return Value(v.start_time());
+    case Attr::kEventEndTime:
+      return Value(v.end_time());
+    case Attr::kEventAmount:
+      return Value(v.amount());
+    case Attr::kEventFailureCode:
+      return Value(static_cast<int64_t>(v.failure_code()));
+    case Attr::kEventSubjectId:
+      return Value(catalog.IdOf(EntityType::kProcess, v.subject_idx()));
+    case Attr::kEventObjectId:
+      return Value(catalog.IdOf(v.object_type(), v.object_idx()));
+    default:
+      return std::nullopt;
   }
-  if (attr == "seq" || attr == "sequence") {
-    return Value(v.seq());
-  }
-  if (attr == "agentid" || attr == "agent_id") {
-    return Value(static_cast<int64_t>(v.agent_id()));
-  }
-  if (attr == "optype" || attr == "op" || attr == "operation") {
-    return Value(OperationName(v.op()));
-  }
-  if (attr == "start_time" || attr == "starttime") {
-    return Value(v.start_time());
-  }
-  if (attr == "end_time" || attr == "endtime") {
-    return Value(v.end_time());
-  }
-  if (attr == "amount") {
-    return Value(v.amount());
-  }
-  if (attr == "failure_code" || attr == "failurecode" || attr == "access") {
-    return Value(static_cast<int64_t>(v.failure_code()));
-  }
-  if (attr == "subject_id" || attr == "subjectid") {
-    return Value(catalog.IdOf(EntityType::kProcess, v.subject_idx()));
-  }
-  if (attr == "object_id" || attr == "objectid") {
-    return Value(catalog.IdOf(v.object_type(), v.object_idx()));
-  }
-  return std::nullopt;
-}
-
-bool IsEventAttr(std::string_view attr) {
-  static constexpr std::string_view kNames[] = {
-      "id",         "seq",          "sequence",   "agentid",    "agent_id",
-      "optype",     "op",           "operation",  "start_time", "starttime",
-      "end_time",   "endtime",      "amount",     "failure_code",
-      "failurecode", "access",      "subject_id", "subjectid",  "object_id",
-      "objectid"};
-  for (std::string_view name : kNames) {
-    if (attr == name) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace aiql

@@ -55,9 +55,6 @@ struct Event {
   int32_t failure_code = 0;  // 0 = success
 };
 
-// True when `attr` names an event attribute GetEventAttr (event_view.h) reads.
-bool IsEventAttr(std::string_view attr);
-
 }  // namespace aiql
 
 #endif  // AIQL_SRC_STORAGE_EVENT_H_

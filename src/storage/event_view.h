@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/storage/attributes.h"
 #include "src/storage/event.h"
 
 namespace aiql {
@@ -131,10 +132,10 @@ class EventView {
 // Tuple sets hold millions of views; keep the handle at two words.
 static_assert(sizeof(EventView) == 16);
 
-// Event attribute access by name (for event-level predicates such as
-// evt[amount > 1000] and for return items like evt1.optype).
-std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catalog,
-                                  std::string_view attr);
+// Value of event attribute `a` (event-level predicates such as
+// evt[amount > 1000], return items like evt1.optype); nullopt when `a`
+// belongs to an entity owner.
+std::optional<Value> EventAttr(const EventView& v, const EntityCatalog& catalog, Attr a);
 
 // The engine-wide result ordering contract: every EventStore returns matches
 // sorted by (start_time, id).

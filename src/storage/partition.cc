@@ -53,26 +53,6 @@ size_t ApplyMembership(uint32_t* rows, size_t n, const T* col,
   return kernels::SelectHashSet(rows, n, col, set, /*negate=*/false);
 }
 
-EventColumnId ColumnIdFor(NumericColumn c) {
-  switch (c) {
-    case NumericColumn::kId:
-      return EventColumnId::kId;
-    case NumericColumn::kSeq:
-      return EventColumnId::kSeq;
-    case NumericColumn::kAgentId:
-      return EventColumnId::kAgentId;
-    case NumericColumn::kStartTime:
-      return EventColumnId::kStartTime;
-    case NumericColumn::kEndTime:
-      return EventColumnId::kEndTime;
-    case NumericColumn::kAmount:
-      return EventColumnId::kAmount;
-    case NumericColumn::kFailureCode:
-      return EventColumnId::kFailureCode;
-  }
-  return EventColumnId::kId;
-}
-
 void DecodeOneColumn(const ArchivedColumns& a, EventColumnId id, EventColumns* out) {
   const EncodedInts& e = a.cols[static_cast<int>(id)];
   switch (id) {
@@ -492,7 +472,7 @@ EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
   }
   for (const ColumnFilter& f : pred.filters) {
     if (ColumnFilterActive(f)) {
-      m |= ColumnBit(ColumnIdFor(f.col));
+      m |= ColumnBit(f.col);
     }
   }
   if (AgentFilterActive(args.agent_set)) {
@@ -539,27 +519,29 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
       continue;
     }
     switch (f.col) {
-      case NumericColumn::kId:
+      case EventColumnId::kId:
         n = ApplyColumnFilter(rows, n, cols->id.data(), f);
         break;
-      case NumericColumn::kSeq:
+      case EventColumnId::kSeq:
         n = ApplyColumnFilter(rows, n, cols->seq.data(), f);
         break;
-      case NumericColumn::kAgentId:
+      case EventColumnId::kAgentId:
         n = ApplyColumnFilter(rows, n, cols->agent_id.data(), f);
         break;
-      case NumericColumn::kStartTime:
+      case EventColumnId::kStartTime:
         n = ApplyColumnFilter(rows, n, cols->start_time.data(), f);
         break;
-      case NumericColumn::kEndTime:
+      case EventColumnId::kEndTime:
         n = ApplyColumnFilter(rows, n, cols->end_time.data(), f);
         break;
-      case NumericColumn::kAmount:
+      case EventColumnId::kAmount:
         n = ApplyColumnFilter(rows, n, cols->amount.data(), f);
         break;
-      case NumericColumn::kFailureCode:
+      case EventColumnId::kFailureCode:
         n = ApplyColumnFilter(rows, n, cols->failure_code.data(), f);
         break;
+      default:
+        break;  // no attribute filters on op, type or entity-index columns
     }
   }
 
@@ -599,7 +581,7 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
   if (!pred.residual.is_true() && n > 0) {
     n = kernels::SelectIf(rows, n, [&](uint32_t r) {
       EventView v(cols, r);
-      auto source = [&](std::string_view attr) { return GetEventAttr(v, *args.catalog, attr); };
+      auto source = [&](Attr a) { return EventAttr(v, *args.catalog, a); };
       return pred.residual.Eval(source);
     });
   }

@@ -41,22 +41,6 @@ namespace aiql {
 // that survives pruning decodes — per column, on demand, through the
 // database's LRU-bounded DecodeCache.
 
-// One event column per field, each independently decodable.
-enum class EventColumnId : uint8_t {
-  kId = 0,
-  kSeq = 1,
-  kAgentId = 2,
-  kOp = 3,
-  kObjectType = 4,
-  kSubjectIdx = 5,
-  kObjectIdx = 6,
-  kStartTime = 7,
-  kEndTime = 8,
-  kAmount = 9,
-  kFailureCode = 10,
-};
-
-inline constexpr int kNumEventColumns = 11;
 using EventColumnMask = uint16_t;
 inline constexpr EventColumnMask kAllEventColumns = (1u << kNumEventColumns) - 1;
 
@@ -274,8 +258,8 @@ class Partition {
   void ForEachEvent(const std::function<void(const Event&)>& fn) const;
 
   const ZoneMap& zone_map() const { return zone_; }
-  TimestampMs min_time() const { return zone_.MinOf(NumericColumn::kStartTime); }
-  TimestampMs max_time() const { return zone_.MaxOf(NumericColumn::kStartTime); }
+  TimestampMs min_time() const { return zone_.MinOf(EventColumnId::kStartTime); }
+  TimestampMs max_time() const { return zone_.MaxOf(EventColumnId::kStartTime); }
 
  private:
   // Offsets of events within [range) via binary search on start_time. `cols`

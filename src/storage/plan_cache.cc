@@ -43,7 +43,7 @@ bool AppendPred(const PredExpr& p, std::string* out, size_t* budget) {
       }
       *budget -= leaf.values.size();
       out->push_back('L');
-      out->append(leaf.attr);
+      out->append(AttrName(leaf.attr));
       out->push_back('\x1e');
       out->append(std::to_string(static_cast<int>(leaf.op)));
       out->push_back('\x1e');

@@ -30,9 +30,9 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
-AttrPredicate AttrPredicate::In(std::string attr, std::vector<Value> values) {
+AttrPredicate AttrPredicate::In(Attr attr, std::vector<Value> values) {
   AttrPredicate p;
-  p.attr = std::move(attr);
+  p.attr = attr;
   p.op = CmpOp::kIn;
   if (values.size() > 16) {
     p.value_set = std::make_shared<std::unordered_set<Value, ValueHash>>(values.begin(),
@@ -91,26 +91,6 @@ void AttrPredicate::PromoteWildcardEquality() {
       HasLikeWildcards(values[0].as_string())) {
     op = op == CmpOp::kEq ? CmpOp::kLike : CmpOp::kNotLike;
   }
-}
-
-std::string AttrPredicate::ToString() const {
-  std::string out = attr;
-  out += ' ';
-  out += CmpOpName(op);
-  if (op == CmpOp::kIn || op == CmpOp::kNotIn) {
-    out += " (";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) {
-        out += ", ";
-      }
-      out += values[i].is_string() ? "\"" + values[i].ToString() + "\"" : values[i].ToString();
-    }
-    out += ")";
-  } else if (!values.empty()) {
-    out += ' ';
-    out += values[0].is_string() ? "\"" + values[0].ToString() + "\"" : values[0].ToString();
-  }
-  return out;
 }
 
 PredExpr PredExpr::Leaf(AttrPredicate pred) {
@@ -206,7 +186,7 @@ size_t PredExpr::CountConstraints() const {
   return n;
 }
 
-std::vector<Value> PredExpr::EqualityValuesFor(std::string_view attr) const {
+std::vector<Value> PredExpr::EqualityValuesFor(Attr attr) const {
   std::vector<Value> out;
   switch (kind_) {
     case Kind::kTrue:
@@ -248,35 +228,6 @@ std::vector<Value> PredExpr::EqualityValuesFor(std::string_view attr) const {
     }
   }
   return out;
-}
-
-void PredExpr::CollectAttrs(std::vector<std::string>* out) const {
-  ForEachLeaf([&](const AttrPredicate& leaf) { out->push_back(leaf.attr); });
-}
-
-std::string PredExpr::ToString() const {
-  switch (kind_) {
-    case Kind::kTrue:
-      return "true";
-    case Kind::kLeaf:
-      return leaf_.ToString();
-    case Kind::kAnd:
-    case Kind::kOr: {
-      std::string sep = kind_ == Kind::kAnd ? " && " : " || ";
-      std::string out = "(";
-      for (size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) {
-          out += sep;
-        }
-        out += children_[i].ToString();
-      }
-      out += ")";
-      return out;
-    }
-    case Kind::kNot:
-      return "!(" + children_[0].ToString() + ")";
-  }
-  return "?";
 }
 
 }  // namespace aiql

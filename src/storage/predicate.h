@@ -14,6 +14,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/storage/attributes.h"
 #include "src/util/value.h"
 
 namespace aiql {
@@ -35,7 +36,11 @@ const char* CmpOpName(CmpOp op);
 
 // One atomic comparison: attr <op> value (or value list for IN).
 struct AttrPredicate {
-  std::string attr;
+  // The attribute as written in the query; empty means the owner's default
+  // attribute. Only the inference pass reads it, to resolve `attr`, the id
+  // every evaluator reads.
+  std::string name;
+  Attr attr = Attr::kEventId;
   CmpOp op = CmpOp::kEq;
   std::vector<Value> values;  // 1 element except for kIn / kNotIn
   // Optional hash set mirroring `values`, for large IN lists (pushed-down
@@ -43,7 +48,7 @@ struct AttrPredicate {
   std::shared_ptr<std::unordered_set<Value, ValueHash>> value_set;
 
   // Builds an IN predicate, materializing the hash set when beneficial.
-  static AttrPredicate In(std::string attr, std::vector<Value> values);
+  static AttrPredicate In(Attr attr, std::vector<Value> values);
 
   // AIQL's '=' / '!=' against one string holding LIKE wildcards means LIKE /
   // NOT LIKE (paper queries write p1["%cmd.exe"] and dstip = "XXX.129" with
@@ -52,11 +57,10 @@ struct AttrPredicate {
   void PromoteWildcardEquality();
 
   bool Eval(const Value& actual) const;
-  std::string ToString() const;
 };
 
 // Source of attribute values during evaluation.
-using AttrSource = std::function<std::optional<Value>(std::string_view)>;
+using AttrSource = std::function<std::optional<Value>(Attr)>;
 
 // Boolean combination tree over atomic predicates.
 class PredExpr {
@@ -97,12 +101,7 @@ class PredExpr {
   // non-wildcard LIKE) on `attr`, returns those values — usable for index
   // lookup. Disjunctions at the top level return values only when every
   // branch constrains `attr` by equality.
-  std::vector<Value> EqualityValuesFor(std::string_view attr) const;
-
-  // Collects the attribute names referenced anywhere in the expression.
-  void CollectAttrs(std::vector<std::string>* out) const;
-
-  std::string ToString() const;
+  std::vector<Value> EqualityValuesFor(Attr attr) const;
 
  private:
   template <typename Self, typename Fn>

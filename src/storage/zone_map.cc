@@ -2,34 +2,9 @@
 
 namespace aiql {
 
-std::optional<NumericColumn> NumericColumnFor(std::string_view attr) {
-  if (attr == "id") {
-    return NumericColumn::kId;
-  }
-  if (attr == "seq" || attr == "sequence") {
-    return NumericColumn::kSeq;
-  }
-  if (attr == "agentid" || attr == "agent_id") {
-    return NumericColumn::kAgentId;
-  }
-  if (attr == "start_time" || attr == "starttime") {
-    return NumericColumn::kStartTime;
-  }
-  if (attr == "end_time" || attr == "endtime") {
-    return NumericColumn::kEndTime;
-  }
-  if (attr == "amount") {
-    return NumericColumn::kAmount;
-  }
-  if (attr == "failure_code" || attr == "failurecode" || attr == "access") {
-    return NumericColumn::kFailureCode;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
-void ObserveValue(ZoneMap* z, NumericColumn c, int64_t v) {
+void ObserveValue(ZoneMap* z, EventColumnId c, int64_t v) {
   int i = static_cast<int>(c);
   z->min[i] = std::min(z->min[i], v);
   z->max[i] = std::max(z->max[i], v);
@@ -38,13 +13,13 @@ void ObserveValue(ZoneMap* z, NumericColumn c, int64_t v) {
 }  // namespace
 
 void ZoneMap::Observe(const Event& e) {
-  ObserveValue(this, NumericColumn::kId, e.id);
-  ObserveValue(this, NumericColumn::kSeq, e.seq);
-  ObserveValue(this, NumericColumn::kAgentId, static_cast<int64_t>(e.agent_id));
-  ObserveValue(this, NumericColumn::kStartTime, e.start_time);
-  ObserveValue(this, NumericColumn::kEndTime, e.end_time);
-  ObserveValue(this, NumericColumn::kAmount, e.amount);
-  ObserveValue(this, NumericColumn::kFailureCode, static_cast<int64_t>(e.failure_code));
+  ObserveValue(this, EventColumnId::kId, e.id);
+  ObserveValue(this, EventColumnId::kSeq, e.seq);
+  ObserveValue(this, EventColumnId::kAgentId, static_cast<int64_t>(e.agent_id));
+  ObserveValue(this, EventColumnId::kStartTime, e.start_time);
+  ObserveValue(this, EventColumnId::kEndTime, e.end_time);
+  ObserveValue(this, EventColumnId::kAmount, e.amount);
+  ObserveValue(this, EventColumnId::kFailureCode, static_cast<int64_t>(e.failure_code));
   op_mask |= OpBit(e.op);
   object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(e.object_type));
   agents.push_back(e.agent_id);
@@ -251,11 +226,7 @@ bool ColumnFilter::AlwaysTrueOnRange(int64_t zone_min, int64_t zone_max) const {
 
 namespace {
 
-bool IsOptypeAttr(std::string_view attr) {
-  return attr == "optype" || attr == "op" || attr == "operation";
-}
-
-// Exact-match op bit for a predicate value: GetEventAttr renders operations
+// Exact-match op bit for a predicate value: EventAttr renders operations
 // as lowercase names and Value equality on strings is case-sensitive, so only
 // the exact lowercase spelling can ever match a row.
 std::optional<Operation> ExactOperationFor(const Value& v) {
@@ -323,7 +294,7 @@ bool TryCompileOptype(const AttrPredicate& leaf, OpMask* mask) {
 // Tries to turn a leaf over a numeric column into a ColumnFilter. Only exact
 // integer comparisons compile: Value's mixed-type semantics (string/double
 // coercions) are preserved by leaving everything else in the residual.
-bool TryCompileNumeric(const AttrPredicate& leaf, NumericColumn col,
+bool TryCompileNumeric(const AttrPredicate& leaf, EventColumnId col,
                        std::vector<ColumnFilter>* filters) {
   switch (leaf.op) {
     case CmpOp::kEq:
@@ -372,10 +343,10 @@ void CompileConjunct(const PredExpr& e, CompiledEventPred* out, PredExpr* residu
       return;
     case PredExpr::Kind::kLeaf: {
       const AttrPredicate& leaf = e.leaf();
-      if (IsOptypeAttr(leaf.attr) && TryCompileOptype(leaf, &out->op_mask)) {
+      if (leaf.attr == Attr::kEventOptype && TryCompileOptype(leaf, &out->op_mask)) {
         return;
       }
-      std::optional<NumericColumn> col = NumericColumnFor(leaf.attr);
+      std::optional<EventColumnId> col = InfoOf(leaf.attr).column;
       if (col.has_value() && TryCompileNumeric(leaf, *col, &out->filters)) {
         return;
       }

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -53,25 +52,11 @@ struct CandidateSummary {
   static CandidateSummary For(const std::unordered_set<uint32_t>& set);
 };
 
-// Numeric event columns addressable by zone maps and vectorized filters.
-enum class NumericColumn : uint8_t {
-  kId = 0,
-  kSeq = 1,
-  kAgentId = 2,
-  kStartTime = 3,
-  kEndTime = 4,
-  kAmount = 5,
-  kFailureCode = 6,
-};
-
-inline constexpr int kNumNumericColumns = 7;
-
-// Maps an event attribute name (any accepted alias) to its numeric column.
-std::optional<NumericColumn> NumericColumnFor(std::string_view attr);
-
 struct ZoneMap {
-  int64_t min[kNumNumericColumns];
-  int64_t max[kNumNumericColumns];
+  // Indexed by EventColumnId; only the integer attribute columns (those an
+  // AttrInfo::column names) are observed.
+  int64_t min[kNumEventColumns];
+  int64_t max[kNumEventColumns];
   OpMask op_mask = 0;
   uint8_t object_type_mask = 0;          // bit i = EntityType(i) present
   std::vector<AgentId> agents;           // sorted distinct agents
@@ -129,8 +114,8 @@ struct ZoneMap {
   bool MayContainSubject(const CandidateSummary& s) const;
   bool MayContainObject(const CandidateSummary& s, EntityType object_type) const;
 
-  int64_t MinOf(NumericColumn c) const { return min[static_cast<int>(c)]; }
-  int64_t MaxOf(NumericColumn c) const { return max[static_cast<int>(c)]; }
+  int64_t MinOf(EventColumnId c) const { return min[static_cast<int>(c)]; }
+  int64_t MaxOf(EventColumnId c) const { return max[static_cast<int>(c)]; }
 
  private:
   // Distinct-key staging for the Seal()-time bloom build; cleared by Seal.
@@ -140,7 +125,7 @@ struct ZoneMap {
 
 // One vectorizable comparison: column <op> value (or value set for IN).
 struct ColumnFilter {
-  NumericColumn col = NumericColumn::kId;
+  EventColumnId col = EventColumnId::kId;
   CmpOp op = CmpOp::kEq;
   int64_t value = 0;
   std::shared_ptr<std::unordered_set<int64_t>> values;  // kIn / kNotIn only

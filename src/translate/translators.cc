@@ -38,6 +38,11 @@ std::string SqlValue(const Value& v) {
   return v.ToString();
 }
 
+// "alias.attribute", with the attribute's canonical name.
+std::string Column(const std::string& alias, Attr a) {
+  return alias + "." + std::string(AttrName(a));
+}
+
 // Renders a predicate tree against a table alias; counts atomic conjuncts.
 std::string PredToSql(const PredExpr& pred, const std::string& alias, size_t* constraints) {
   switch (pred.kind()) {
@@ -46,7 +51,7 @@ std::string PredToSql(const PredExpr& pred, const std::string& alias, size_t* co
     case PredExpr::Kind::kLeaf: {
       ++*constraints;
       const AttrPredicate& leaf = pred.leaf();
-      std::string lhs = alias + "." + leaf.attr;
+      std::string lhs = Column(alias, leaf.attr);
       switch (leaf.op) {
         case CmpOp::kLike:
           return lhs + " LIKE " + SqlValue(leaf.values[0]);
@@ -115,7 +120,7 @@ std::string ExprToSql(const Expr& e) {
       return ":" + e.name;
     case Expr::Kind::kVarRef: {
       if (e.resolved.has_value() && e.resolved->side != RefSide::kAlias) {
-        return SideAlias(e.resolved->side, e.resolved->pattern) + "." + e.resolved->attr;
+        return Column(SideAlias(e.resolved->side, e.resolved->pattern), e.resolved->attr);
       }
       return e.name;  // alias reference
     }
@@ -215,9 +220,9 @@ TranslatedQuery ToSql(const QueryContext& ctx) {
     }
   }
   for (const AttrRelation& rel : ctx.attr_rels) {
-    where.push_back(SideAlias(rel.left_side, rel.left_pattern) + "." + rel.left_attr + " " +
-                    CmpOpName(rel.op) + " " + SideAlias(rel.right_side, rel.right_pattern) +
-                    "." + rel.right_attr);
+    where.push_back(Column(SideAlias(rel.left_side, rel.left_pattern), rel.left_attr) + " " +
+                    CmpOpName(rel.op) + " " +
+                    Column(SideAlias(rel.right_side, rel.right_pattern), rel.right_attr));
     ++out.constraints;
   }
   for (const TempRelation& rel : ctx.temp_rels) {
@@ -360,9 +365,9 @@ TranslatedQuery ToCypher(const QueryContext& ctx) {
       }
       return "e" + std::to_string(pattern);
     };
-    where.push_back(side_name(lp, rel.left_side, rel.left_pattern) + "." + rel.left_attr + " " +
+    where.push_back(Column(side_name(lp, rel.left_side, rel.left_pattern), rel.left_attr) + " " +
                     CmpOpName(rel.op) + " " +
-                    side_name(rp, rel.right_side, rel.right_pattern) + "." + rel.right_attr);
+                    Column(side_name(rp, rel.right_side, rel.right_pattern), rel.right_attr));
     ++out.constraints;
   }
   for (const TempRelation& rel : ctx.temp_rels) {
@@ -478,7 +483,7 @@ TranslatedQuery ToSpl(const QueryContext& ctx) {
     for (const AttrRelation& rel : ctx.attr_rels) {
       if ((rel.right_pattern == i && rel.left_pattern < i) ||
           (rel.left_pattern == i && rel.right_pattern < i)) {
-        key = rel.left_attr;
+        key = AttrName(rel.left_attr);
         break;
       }
     }

@@ -42,6 +42,12 @@ struct TimeRange {
 TimestampMs MakeTimestamp(int year, int month, int day, int hour = 0, int minute = 0,
                           int second = 0, int millis = 0);
 
+// Timestamps an event may carry: within the last millisecond of year 9999
+// (the latest datetime literal) either side of the epoch, so day arithmetic
+// (DayIndex, DayStart, a range's exclusive end) cannot overflow.
+inline constexpr TimestampMs kMaxTimestampMs = 253402300799999;
+inline constexpr TimestampMs kMinTimestampMs = -kMaxTimestampMs;
+
 // Day index (days since epoch) for temporal partitioning; floor division.
 int64_t DayIndex(TimestampMs t);
 TimestampMs DayStart(int64_t day_index);

@@ -335,11 +335,34 @@ TEST(ParserTest, ExpressionPrecedencePinned) {
                    .ok());
 }
 
+// Renders a parsed constraint tree with its attribute spellings, fully
+// parenthesized: "((pid = 1 || pid = 2) && pid = 3)".
+std::string PredShape(const PredExpr& e) {
+  switch (e.kind()) {
+    case PredExpr::Kind::kTrue:
+      return "true";
+    case PredExpr::Kind::kLeaf:
+      return e.leaf().name + " " + CmpOpName(e.leaf().op) + " " + e.leaf().values[0].ToString();
+    case PredExpr::Kind::kNot:
+      return "!(" + PredShape(e.children()[0]) + ")";
+    case PredExpr::Kind::kAnd:
+    case PredExpr::Kind::kOr: {
+      std::string out;
+      for (const PredExpr& c : e.children()) {
+        out += (out.empty() ? "(" : e.kind() == PredExpr::Kind::kAnd ? " && " : " || ") +
+               PredShape(c);
+      }
+      return out + ")";
+    }
+  }
+  return "?";
+}
+
 TEST(ParserTest, AttributeAndOperationPrecedencePinned) {
   auto pred = [](const std::string& cstr) {
     auto r = ParseQuery("proc p1[" + cstr + "] write file f1 return p1");
     EXPECT_TRUE(r.ok()) << r.error();
-    return r.ok() ? r.value().multievent.patterns[0].subject.constraint.ToString() : "";
+    return r.ok() ? PredShape(r.value().multievent.patterns[0].subject.constraint) : "";
   };
   // ',' binds loosest, '&&' tighter than '||'.
   EXPECT_EQ(pred("pid = 1 || pid = 2 && pid = 3, pid = 4"),
@@ -479,17 +502,17 @@ TEST(EvalTest, IntegerOverflowYieldsDouble) {
 TEST(InferenceTest, DefaultAttributeFilled) {
   auto ctx = CompileQuery(R"(proc p1["%cmd.exe"] read file f1[".viminfo"] return p1)");
   ASSERT_TRUE(ctx.ok()) << ctx.error();
-  EXPECT_EQ(ctx.value().patterns[0].query.subject_pred.leaf().attr, "exe_name");
+  EXPECT_EQ(ctx.value().patterns[0].query.subject_pred.leaf().attr, Attr::kProcExeName);
   EXPECT_EQ(ctx.value().patterns[0].query.subject_pred.leaf().op, CmpOp::kLike);
-  EXPECT_EQ(ctx.value().patterns[0].query.object_pred.leaf().attr, "name");
+  EXPECT_EQ(ctx.value().patterns[0].query.object_pred.leaf().attr, Attr::kFileName);
   EXPECT_EQ(ctx.value().patterns[0].query.object_pred.leaf().op, CmpOp::kEq);
 }
 
 TEST(InferenceTest, ReturnItemsGetDefaultAttrs) {
   auto ctx = CompileQuery(R"(proc p1 read ip i1 return p1, i1)");
   ASSERT_TRUE(ctx.ok()) << ctx.error();
-  EXPECT_EQ(ctx.value().items[0].expr.resolved->attr, "exe_name");
-  EXPECT_EQ(ctx.value().items[1].expr.resolved->attr, "dst_ip");
+  EXPECT_EQ(ctx.value().items[0].expr.resolved->attr, Attr::kProcExeName);
+  EXPECT_EQ(ctx.value().items[1].expr.resolved->attr, Attr::kIpDstIp);
 }
 
 TEST(InferenceTest, EntityReuseCreatesImplicitRelationship) {
@@ -505,7 +528,7 @@ TEST(InferenceTest, EntityReuseCreatesImplicitRelationship) {
   EXPECT_EQ(rel.left_side, RefSide::kObject);
   EXPECT_EQ(rel.right_pattern, 1u);
   EXPECT_EQ(rel.right_side, RefSide::kSubject);
-  EXPECT_EQ(rel.left_attr, "id");
+  EXPECT_EQ(rel.left_attr, Attr::kProcId);
 }
 
 TEST(InferenceTest, ExplicitAttrRelDefaultsToId) {
@@ -516,7 +539,7 @@ TEST(InferenceTest, ExplicitAttrRelDefaultsToId) {
       return p1)");
   ASSERT_TRUE(ctx.ok()) << ctx.error();
   ASSERT_EQ(ctx.value().attr_rels.size(), 1u);
-  EXPECT_EQ(ctx.value().attr_rels[0].left_attr, "id");
+  EXPECT_EQ(ctx.value().attr_rels[0].left_attr, Attr::kProcId);
   EXPECT_FALSE(ctx.value().attr_rels[0].implicit);
 }
 
@@ -786,6 +809,52 @@ TEST(ParamTest, ParamsInHavingAndInLists) {
   ASSERT_TRUE(ctx.ok()) << ctx.error();
   ASSERT_TRUE(ctx.value().global_agents.has_value());
   EXPECT_EQ(ctx.value().global_agents->size(), 2u);
+}
+
+// Agent ids scope partitions by number. A string on agentid, global or in a
+// pattern, is a positioned error: "2x" used to mean agent 2 globally and no
+// agent in a pattern, and "abc" meant agent 0. A number no agent id can hold
+// matches no agent instead of wrapping, and a global comparison other than
+// equality filters events instead of being dropped.
+TEST(InferenceTest, AgentIdsAreCheckedIntegers) {
+  Database db;
+  for (AgentId agent = 1; agent <= 3; ++agent) {
+    const uint32_t p = db.catalog().InternProcess(agent, 10, "/bin/p", "root");
+    const uint32_t f = db.catalog().InternFile(agent, "/d/f");
+    db.RecordEvent(agent, p, Operation::kWrite, EntityType::kFile, f,
+                   MakeTimestamp(2017, 1, 1) + agent, 7);
+  }
+  db.Finalize();
+  const AiqlEngine engine(&db);
+  for (const char* q : {"agentid = \"2x\" proc p1 write file f1 return p1",
+                        "agentid = \"abc\" proc p1 write file f1 return p1",
+                        "agentid in (1, \"2\") proc p1 write file f1 return p1",
+                        "proc p1 write file f1 as evt1[agent_id != \"2\"] return p1",
+                        "proc p1[agentid = \"2x\"] write file f1 return p1",
+                        "proc p1 write file f1[agent_id = \"2\"] return p1",
+                        "proc p1 connect ip i1[agentid = \"%\"] return p1"}) {
+    auto r = engine.Execute(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_NE(r.error().find("agentid takes an integer agent id"), std::string::npos) << q;
+    EXPECT_EQ(r.error().rfind("line ", 0), 0u) << r.error();
+  }
+  auto positioned =
+      engine.Execute("agentid = 1\nproc p1 write file f1 as evt1[agent_id != \"2\"] return p1");
+  EXPECT_EQ(positioned.error().rfind("line 2: ", 0), 0u) << positioned.error();
+  auto rows = [&](const std::string& q) {
+    auto r = engine.Execute(q);
+    EXPECT_TRUE(r.ok()) << q << ": " << r.error();
+    return r.ok() ? r.value().num_rows() : size_t{99};
+  };
+  const std::string pattern = " proc p1 write file f1 return p1, p1.agentid";
+  EXPECT_EQ(rows("agentid = 2" + pattern), 1u);
+  EXPECT_EQ(rows("proc p1[agentid = 2] write file f1 return p1"), 1u);
+  EXPECT_EQ(rows("agentid = 4294967298" + pattern), 0u);  // used to wrap to agent 2
+  EXPECT_EQ(rows("agentid = 2.5" + pattern), 0u);         // used to truncate to agent 2
+  EXPECT_EQ(rows("agentid != 2" + pattern), 2u);          // used to be dropped: 3 rows
+  EXPECT_EQ(rows("agentid > 1" + pattern), 2u);
+  EXPECT_EQ(rows("agentid = 1 agentid = 2" + pattern), 0u);
+  EXPECT_EQ(rows("agentid in (1, 3) agentid != 3" + pattern), 1u);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ void FillDatabase(Database* db) {
   db->Finalize();
 }
 
-PredExpr Leaf(const char* attr, CmpOp op, Value v) {
+PredExpr Leaf(Attr attr, CmpOp op, Value v) {
   AttrPredicate p;
   p.attr = attr;
   p.op = op;
@@ -91,26 +91,27 @@ DataQuery RandomQuery(Rng* rng) {
     q.agent_ids = std::vector<AgentId>{static_cast<AgentId>(rng->Range(1, 4))};
   }
   if (rng->Chance(0.3)) {
-    q.subject_pred = Leaf("user", CmpOp::kEq, Value(rng->Chance(0.5) ? "root" : "alice"));
+    q.subject_pred = Leaf(Attr::kProcUser, CmpOp::kEq, Value(rng->Chance(0.5) ? "root" : "alice"));
   }
   switch (rng->Below(5)) {
     case 0:
-      q.event_pred = Leaf("amount", CmpOp::kGt, Value(static_cast<int64_t>(rng->Below(5000))));
+      q.event_pred =
+          Leaf(Attr::kEventAmount, CmpOp::kGt, Value(static_cast<int64_t>(rng->Below(5000))));
       break;
     case 1:
       q.event_pred = PredExpr::And(
-          Leaf("amount", CmpOp::kGe, Value(static_cast<int64_t>(rng->Below(2500)))),
-          Leaf("failure_code", CmpOp::kEq, Value(static_cast<int64_t>(rng->Below(3)))));
+          Leaf(Attr::kEventAmount, CmpOp::kGe, Value(static_cast<int64_t>(rng->Below(2500)))),
+          Leaf(Attr::kEventFailureCode, CmpOp::kEq, Value(static_cast<int64_t>(rng->Below(3)))));
       break;
     case 2:
-      q.event_pred = Leaf("optype", CmpOp::kEq,
+      q.event_pred = Leaf(Attr::kEventOptype, CmpOp::kEq,
                           Value(OperationName(static_cast<Operation>(rng->Below(kNumOperations)))));
       break;
     case 3:
       // Disjunction: not vectorizable, exercises the residual scan stage.
-      q.event_pred =
-          PredExpr::Or(Leaf("amount", CmpOp::kLt, Value(static_cast<int64_t>(rng->Below(1000)))),
-                       Leaf("failure_code", CmpOp::kNe, Value(int64_t{0})));
+      q.event_pred = PredExpr::Or(
+          Leaf(Attr::kEventAmount, CmpOp::kLt, Value(static_cast<int64_t>(rng->Below(1000)))),
+          Leaf(Attr::kEventFailureCode, CmpOp::kNe, Value(int64_t{0})));
       break;
     default:
       break;  // no event predicate

@@ -363,5 +363,29 @@ TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
 INSTANTIATE_TEST_SUITE_P(Parallelism, PreparedPropertyTest, ::testing::Values(1, 8),
                          [](const auto& info) { return "P" + std::to_string(info.param); });
 
+// A $agent bound to a string fails Bind with a positioned error (it used to
+// scope the run to agent 0, or to the digits' agent for "1x"); Prepare's
+// integer placeholder and integer bindings still pass.
+TEST_F(PreparedQueryTest, StringAgentBindingIsATypeError) {
+  const AiqlEngine engine(&db_);
+  auto prepared = engine.Prepare(kChainTemplate);
+  ASSERT_TRUE(prepared.ok()) << prepared.error();
+  for (const char* agent : {"1x", "abc", "1"}) {
+    auto bound = prepared.value().Bind(
+        ParamSet().Set("agent", agent).Set("day", "01/01/2017").Set("cmd", "%cmd.exe"));
+    ASSERT_FALSE(bound.ok()) << agent;
+    EXPECT_NE(bound.error().find("line 2: agentid takes an integer agent id"), std::string::npos)
+        << bound.error();
+  }
+  auto subject = engine.Prepare("proc p1[agentid = $a] start proc p2 return p1, p2");
+  ASSERT_TRUE(subject.ok()) << subject.error();
+  EXPECT_FALSE(subject.value().Bind(ParamSet().Set("a", "1")).ok());
+  auto ok = subject.value().Bind(ParamSet().Set("a", 1));
+  ASSERT_TRUE(ok.ok()) << ok.error();
+  auto r = ok.value().Run();
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.value().num_rows(), 1u);
+}
+
 }  // namespace
 }  // namespace aiql

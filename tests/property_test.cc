@@ -249,7 +249,7 @@ TEST_P(StorageSchemePropertyTest, ExecuteMatchesFullScan) {
   q.agent_ids = std::vector<AgentId>{2};
   q.time = TimeRange{base + kHourMs, base + kDayMs + 2 * kHourMs};
   AttrPredicate pred;
-  pred.attr = "name";
+  pred.attr = Attr::kFileName;
   pred.op = CmpOp::kLike;
   pred.values = {Value("/d/f1%")};
   q.object_pred = PredExpr::Leaf(pred);
@@ -334,7 +334,7 @@ TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
   db.Finalize();
   const ReferenceStore reference(db);
 
-  auto leaf = [](const char* attr, CmpOp op, Value v) {
+  auto leaf = [](Attr attr, CmpOp op, Value v) {
     AttrPredicate p;
     p.attr = attr;
     p.op = op;
@@ -360,15 +360,15 @@ TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
     PredExpr pred;
     switch (rng.Below(6)) {
       case 0:
-        pred = leaf("amount", CmpOp::kGt, Value(static_cast<int64_t>(rng.Below(5000))));
+        pred = leaf(Attr::kEventAmount, CmpOp::kGt, Value(static_cast<int64_t>(rng.Below(5000))));
         break;
       case 1:
         pred = PredExpr::And(
-            leaf("amount", CmpOp::kGe, Value(static_cast<int64_t>(rng.Below(2500)))),
-            leaf("failure_code", CmpOp::kEq, Value(static_cast<int64_t>(rng.Below(3)))));
+            leaf(Attr::kEventAmount, CmpOp::kGe, Value(static_cast<int64_t>(rng.Below(2500)))),
+            leaf(Attr::kEventFailureCode, CmpOp::kEq, Value(static_cast<int64_t>(rng.Below(3)))));
         break;
       case 2:
-        pred = leaf("optype", CmpOp::kEq,
+        pred = leaf(Attr::kEventOptype, CmpOp::kEq,
                     Value(OperationName(static_cast<Operation>(rng.Below(kNumOperations)))));
         break;
       case 3: {
@@ -376,25 +376,25 @@ TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
         for (int k = 0; k < 20; ++k) {
           in_values.push_back(Value(static_cast<int64_t>(rng.Below(5000))));
         }
-        pred = PredExpr::Leaf(AttrPredicate::In("amount", std::move(in_values)));
+        pred = PredExpr::Leaf(AttrPredicate::In(Attr::kEventAmount, std::move(in_values)));
         break;
       }
       case 4:
         // Disjunction: not vectorizable, exercises the residual path.
         pred = PredExpr::Or(
-            leaf("amount", CmpOp::kLt, Value(static_cast<int64_t>(rng.Below(1000)))),
-            leaf("failure_code", CmpOp::kNe, Value(int64_t{0})));
+            leaf(Attr::kEventAmount, CmpOp::kLt, Value(static_cast<int64_t>(rng.Below(1000)))),
+            leaf(Attr::kEventFailureCode, CmpOp::kNe, Value(int64_t{0})));
         break;
       default:
         break;  // no event predicate
     }
     q.event_pred = std::move(pred);
     if (rng.Chance(0.3)) {
-      q.subject_pred = leaf("user", CmpOp::kEq, Value(rng.Chance(0.5) ? "root" : "alice"));
+      q.subject_pred =
+          leaf(Attr::kProcUser, CmpOp::kEq, Value(rng.Chance(0.5) ? "root" : "alice"));
     }
     if (rng.Chance(0.3)) {
-      q.object_pred = leaf(q.object_type == EntityType::kNetwork ? "dstip" : "name",
-                           CmpOp::kLike, Value("%1%"));
+      q.object_pred = leaf(DefaultAttr(q.object_type), CmpOp::kLike, Value("%1%"));
     }
     // Pushed-down candidates, as the relationship scheduler supplies them:
     // random index subsets, sometimes naming entities that do not exist.

@@ -71,7 +71,7 @@ inline std::optional<Value> ReadRef(const ResolvedRef& ref, const Row& row, cons
     } else if (ref.side == RefSide::kObject) {
       v = in.catalog.AttrOf(e.object_type(), e.object_idx(), ref.attr);
     } else {
-      v = GetEventAttr(e, in.catalog, ref.attr);
+      v = EventAttr(e, in.catalog, ref.attr);
     }
     return v.value_or(Value());
   }
@@ -100,7 +100,7 @@ inline std::optional<Value> Eval(const Expr& e, const Row* row, const Input& in,
       return std::nullopt;
     case Expr::Kind::kVarRef:
       if (e.resolved.has_value() && e.resolved->side == RefSide::kAlias) {
-        return name(e.resolved->attr);
+        return name(e.name);
       }
       if (e.resolved.has_value() && row != nullptr) {
         return ReadRef(*e.resolved, *row, in);

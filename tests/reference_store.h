@@ -56,7 +56,7 @@ class ReferenceStore : public EventStore {
                          q.subject_candidates, q.agent_ids) ||
           !EntityMatches(q.object_type, e.object_idx(), q.object_pred, q.object_candidates,
                          object_agents) ||
-          !q.event_pred.Eval([&](std::string_view a) { return GetEventAttr(e, catalog_, a); })) {
+          !q.event_pred.Eval([&](Attr a) { return EventAttr(e, catalog_, a); })) {
         continue;
       }
       out.push_back(e);
@@ -81,9 +81,7 @@ class ReferenceStore : public EventStore {
       return false;
     }
     return pred.is_true() || (Allows(agents, catalog_.AgentOf(t, idx)) &&
-                              pred.Eval([&](std::string_view a) {
-                                return catalog_.AttrOf(t, idx, a);
-                              }));
+                              pred.Eval([&](Attr a) { return catalog_.AttrOf(t, idx, a); }));
   }
 
   const EntityCatalog& catalog_;

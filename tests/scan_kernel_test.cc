@@ -96,7 +96,7 @@ DataQuery RandomQuery(Rng* rng) {
   }
   if (rng->Chance(0.4)) {
     AttrPredicate pred;
-    pred.attr = "amount";
+    pred.attr = Attr::kEventAmount;
     pred.op = CmpOp::kGe;
     pred.values = {Value(static_cast<int64_t>(rng->Below(4000)))};
     q.event_pred = PredExpr::Leaf(pred);
@@ -499,7 +499,7 @@ TEST(MorselEquivalenceTest, MatchStraddlingMorselEdgeDeterministic) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "amount";
+  pred.attr = Attr::kEventAmount;
   pred.op = CmpOp::kGt;
   pred.values = {Value(int64_t{1000})};
   q.event_pred = PredExpr::Leaf(pred);

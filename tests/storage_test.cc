@@ -55,11 +55,11 @@ TEST_F(StorageTest, EntityIdsAreUnique) {
 }
 
 TEST_F(StorageTest, AttrAccess) {
-  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kProcess, bash_, "exe_name")->ToString(),
+  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kProcess, bash_, Attr::kProcExeName)->ToString(),
             "/usr/bin/bash");
-  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kProcess, bash_, "user")->ToString(), "root");
-  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kNetwork, ip_, "dst_port")->as_int(), 443);
-  EXPECT_FALSE(db_.catalog().AttrOf(EntityType::kFile, etc_, "bogus").has_value());
+  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kProcess, bash_, Attr::kProcUser)->ToString(), "root");
+  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kNetwork, ip_, Attr::kIpDstPort)->as_int(), 443);
+  EXPECT_FALSE(db_.catalog().AttrOf(EntityType::kFile, etc_, Attr::kProcPid).has_value());
 }
 
 TEST_F(StorageTest, PartitioningByDayAndAgentGroup) {
@@ -108,7 +108,7 @@ TEST_F(StorageTest, SubjectPredicateViaIndex) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "exe_name";
+  pred.attr = Attr::kProcExeName;
   pred.op = CmpOp::kEq;
   pred.values = {Value("/usr/bin/bash")};
   q.subject_pred = PredExpr::Leaf(pred);
@@ -123,7 +123,7 @@ TEST_F(StorageTest, LikePredicateFallsBackToScan) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "name";
+  pred.attr = Attr::kFileName;
   pred.op = CmpOp::kLike;
   pred.values = {Value("/var/log%")};
   q.object_pred = PredExpr::Leaf(pred);
@@ -141,7 +141,7 @@ TEST_F(StorageTest, PushdownCandidatesNarrow) {
   EXPECT_EQ(events[0].subject_idx(), vim_);
   // Candidate set intersected with a contradicting predicate is empty.
   AttrPredicate pred;
-  pred.attr = "exe_name";
+  pred.attr = Attr::kProcExeName;
   pred.op = CmpOp::kEq;
   pred.values = {Value("/usr/bin/bash")};
   q.subject_pred = PredExpr::Leaf(pred);
@@ -209,7 +209,7 @@ TEST_F(StorageTest, ZoneMapPrunesByNumericRange) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "amount";
+  pred.attr = Attr::kEventAmount;
   pred.op = CmpOp::kGt;
   pred.values = {Value(int64_t{10000})};
   q.event_pred = PredExpr::Leaf(pred);
@@ -236,7 +236,7 @@ TEST_F(StorageTest, OptypePredicateCompilesToOpMask) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "optype";
+  pred.attr = Attr::kEventOptype;
   pred.op = CmpOp::kEq;
   pred.values = {Value("write")};
   q.event_pred = PredExpr::Leaf(pred);
@@ -275,7 +275,7 @@ TEST_F(StorageTest, NoIndexModeStillCorrect) {
   DataQuery q;
   q.object_type = EntityType::kFile;
   AttrPredicate pred;
-  pred.attr = "exe_name";
+  pred.attr = Attr::kProcExeName;
   pred.op = CmpOp::kEq;
   pred.values = {Value("/bin/x")};
   q.subject_pred = PredExpr::Leaf(pred);
@@ -302,7 +302,7 @@ TEST_F(StorageTest, AppendRawPreservesIds) {
 
 TEST(PredicateTest, CmpOps) {
   AttrPredicate p;
-  p.attr = "x";
+  p.attr = Attr::kEventAmount;
   p.op = CmpOp::kGe;
   p.values = {Value(int64_t{10})};
   EXPECT_TRUE(p.Eval(Value(int64_t{10})));
@@ -315,31 +315,32 @@ TEST(PredicateTest, InWithHashSet) {
   for (int i = 0; i < 100; ++i) {
     values.push_back(Value(int64_t{i * 2}));
   }
-  AttrPredicate p = AttrPredicate::In("x", values);
+  AttrPredicate p = AttrPredicate::In(Attr::kEventAmount, values);
   ASSERT_NE(p.value_set, nullptr);  // large lists materialize the set
   EXPECT_TRUE(p.Eval(Value(int64_t{50})));
   EXPECT_FALSE(p.Eval(Value(int64_t{51})));
 }
 
 TEST(PredicateTest, BooleanTree) {
-  auto leaf = [](const char* attr, CmpOp op, Value v) {
+  auto leaf = [](Attr attr, CmpOp op, Value v) {
     AttrPredicate p;
     p.attr = attr;
     p.op = op;
     p.values = {std::move(v)};
     return PredExpr::Leaf(std::move(p));
   };
-  PredExpr expr = PredExpr::And(leaf("a", CmpOp::kEq, Value(int64_t{1})),
-                                PredExpr::Or(leaf("b", CmpOp::kEq, Value(int64_t{2})),
-                                             PredExpr::Not(leaf("c", CmpOp::kEq, Value("x")))));
-  auto source = [&](std::string_view attr) -> std::optional<Value> {
-    if (attr == "a") {
+  PredExpr expr = PredExpr::And(
+      leaf(Attr::kFileVolId, CmpOp::kEq, Value(int64_t{1})),
+      PredExpr::Or(leaf(Attr::kFileDataId, CmpOp::kEq, Value(int64_t{2})),
+                   PredExpr::Not(leaf(Attr::kFileOwner, CmpOp::kEq, Value("x")))));
+  auto source = [&](Attr attr) -> std::optional<Value> {
+    if (attr == Attr::kFileVolId) {
       return Value(int64_t{1});
     }
-    if (attr == "b") {
+    if (attr == Attr::kFileDataId) {
       return Value(int64_t{3});
     }
-    if (attr == "c") {
+    if (attr == Attr::kFileOwner) {
       return Value("y");
     }
     return std::nullopt;
@@ -350,38 +351,38 @@ TEST(PredicateTest, BooleanTree) {
 
 TEST(PredicateTest, EqualityValuesForConjunction) {
   AttrPredicate p;
-  p.attr = "name";
+  p.attr = Attr::kFileName;
   p.op = CmpOp::kEq;
   p.values = {Value("x")};
   PredExpr expr = PredExpr::Leaf(p);
-  auto vals = expr.EqualityValuesFor("name");
+  auto vals = expr.EqualityValuesFor(Attr::kFileName);
   ASSERT_EQ(vals.size(), 1u);
   EXPECT_EQ(vals[0].ToString(), "x");
-  EXPECT_TRUE(expr.EqualityValuesFor("other").empty());
+  EXPECT_TRUE(expr.EqualityValuesFor(Attr::kFileOwner).empty());
 }
 
 TEST(PredicateTest, EqualityValuesForDisjunctionNeedsAllBranches) {
-  auto eq = [](const char* attr, const char* v) {
+  auto eq = [](Attr attr, const char* v) {
     AttrPredicate p;
     p.attr = attr;
     p.op = CmpOp::kEq;
     p.values = {Value(v)};
     return PredExpr::Leaf(std::move(p));
   };
-  PredExpr both = PredExpr::Or(eq("name", "a"), eq("name", "b"));
-  EXPECT_EQ(both.EqualityValuesFor("name").size(), 2u);
-  PredExpr mixed = PredExpr::Or(eq("name", "a"), eq("owner", "b"));
-  EXPECT_TRUE(mixed.EqualityValuesFor("name").empty());
+  PredExpr both = PredExpr::Or(eq(Attr::kFileName, "a"), eq(Attr::kFileName, "b"));
+  EXPECT_EQ(both.EqualityValuesFor(Attr::kFileName).size(), 2u);
+  PredExpr mixed = PredExpr::Or(eq(Attr::kFileName, "a"), eq(Attr::kFileOwner, "b"));
+  EXPECT_TRUE(mixed.EqualityValuesFor(Attr::kFileName).empty());
 }
 
 TEST(PredicateTest, LikeWithoutWildcardsUsableForIndex) {
   AttrPredicate p;
-  p.attr = "name";
+  p.attr = Attr::kFileName;
   p.op = CmpOp::kLike;
   p.values = {Value("exact.txt")};
-  EXPECT_EQ(PredExpr::Leaf(p).EqualityValuesFor("name").size(), 1u);
+  EXPECT_EQ(PredExpr::Leaf(p).EqualityValuesFor(Attr::kFileName).size(), 1u);
   p.values = {Value("%wild%")};
-  EXPECT_TRUE(PredExpr::Leaf(p).EqualityValuesFor("name").empty());
+  EXPECT_TRUE(PredExpr::Leaf(p).EqualityValuesFor(Attr::kFileName).empty());
 }
 
 }  // namespace

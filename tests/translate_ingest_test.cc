@@ -226,5 +226,64 @@ TEST(AuditLogTest, CrossHostProcessObject) {
   });
 }
 
+// Numeric fields must fit the column they land in; each violation is an
+// error with its line instead of a wrapped or truncated value.
+TEST(AuditLogTest, NumericFieldsAreRangeChecked) {
+  const std::string file = " pid=1 exe=\"/x\" op=read obj=file path=\"/a\"";
+  const std::string ip = " pid=1 exe=\"/x\" op=connect obj=ip dst=1.1.1.1";
+  const std::string proc = " pid=1 exe=\"/x\" op=start obj=proc tpid=2 texe=\"/y\"";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"EVENT ts=1000 agent=-3" + file, "'agent'"},
+      {"EVENT ts=1000 agent=4294967296" + file, "'agent'"},
+      {"EVENT ts=1000 agent=1 fail=99999999999" + file, "'fail'"},
+      {"EVENT ts=1000 agent=1 fail=-2147483649" + file, "'fail'"},
+      {"EVENT ts=1000 agent=1 dport=99999999999" + ip, "'dport'"},
+      {"EVENT ts=1000 agent=1 dport=70000" + ip, "'dport'"},
+      {"EVENT ts=1000 agent=1 dport=-1" + ip, "'dport'"},
+      {"EVENT ts=1000 agent=1 sport=zz" + ip, "'sport'"},
+      {"EVENT ts=1000 agent=1 sport=65536" + ip, "'sport'"},
+      {"EVENT ts=1000 agent=1 tagent=-1" + proc, "'tagent'"},
+      {"EVENT ts=9223372036854775807 agent=1" + file, "'ts'"},
+      {"EVENT ts=-9223372036854775808 agent=1" + file, "'ts'"},
+      {"EVENT ts=253402300800000 agent=1" + file, "'ts'"},
+      {"EVENT ts=12abc agent=1" + file, "'ts'"},
+      {"EVENT ts=99999999999999999999 agent=1" + file, "'ts'"},
+  };
+  std::string text;
+  for (const auto& [line, field] : bad) {
+    text += line + "\n";
+  }
+  text += "EVENT ts=253402300799999 agent=4294967295 fail=-2147483648 dport=65535 sport=0" + ip +
+          "\n";
+  Database db;
+  IngestReport report = AuditLogParser(&db).IngestText(text);
+  EXPECT_EQ(report.records_ingested, 1u);
+  ASSERT_EQ(report.errors.size(), bad.size());
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(report.errors[i].line_number, i + 1);
+    EXPECT_NE(report.errors[i].message.find(bad[i].second), std::string::npos)
+        << report.errors[i].message;
+  }
+}
+
+// The clock-skew correction is overflow-checked and must land in range.
+TEST(AuditLogTest, SkewCorrectionIsRangeChecked) {
+  ClockSkewCorrector skew;
+  skew.SetOffset(1, INT64_MAX);
+  skew.SetOffset(2, -kMaxTimestampMs);
+  EXPECT_FALSE(skew.Correct(1, 1).has_value());
+  EXPECT_EQ(skew.Correct(2, kMaxTimestampMs), 0);
+  Database db;
+  IngestReport report = AuditLogParser(&db, &skew).IngestText(
+      "EVENT ts=1000 agent=1 pid=1 exe=\"/x\" op=read obj=file path=\"/a\"\n"
+      "EVENT ts=-1000 agent=2 pid=1 exe=\"/x\" op=read obj=file path=\"/a\"\n"
+      "EVENT ts=1000 agent=2 pid=1 exe=\"/x\" op=read obj=file path=\"/a\"\n");
+  EXPECT_EQ(report.records_ingested, 1u);
+  ASSERT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(report.errors[0].line_number, 1u);
+  EXPECT_EQ(report.errors[1].line_number, 2u);
+  EXPECT_NE(report.errors[1].message.find("clock-skew"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace aiql
