@@ -144,9 +144,11 @@ BENCHMARK(BM_FullScan)->Arg(1)->Arg(2)->Arg(4);
 
 // A selective pushed-down entity candidate set over a large entity pool: the
 // dominant query shape of iterative attack investigation (Algorithm 1 hands
-// each pattern the candidate sets of already-executed patterns). The set is
+// each pattern an `id IN` list from already-executed patterns). The set is
 // far above the posting-candidate limit, so the scan takes the vectorized
-// membership-probe path over every row in the time slice.
+// bitmap-probe path over every row in the time slice. Each iteration plans
+// too, so the time includes resolving the list against the catalog
+// (Database::FindEntities).
 Database* BuildCandidateProbeDb() {
   auto* d = new Database();
   Rng rng(23);
@@ -178,11 +180,11 @@ void BM_EntityCandidateScan(benchmark::State& state) {
   // too many for posting-list union, so every scanned row probes the set.
   DataQuery q;
   q.object_type = EntityType::kFile;
-  std::vector<uint32_t> candidates;
+  std::vector<Value> candidates;
   for (uint32_t i = 0; i < 20000; i += 4) {
-    candidates.push_back(i);
+    candidates.push_back(*db->catalog().AttrOf(EntityType::kFile, i, Attr::kFileId));
   }
-  q.object_candidates = std::move(candidates);
+  q.object_pred = PredExpr::Leaf(AttrPredicate::In(Attr::kFileId, std::move(candidates)));
   ScanStats stats;
   for (auto _ : state) {
     ScanStats s;

@@ -143,18 +143,9 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   }
   st->pattern_matches[0] = events.size();
   const EntityCatalog& catalog = db.catalog();
-  // Intra-pattern attribute relationships filter single events.
-  for (const AttrRelation& rel : ctx.attr_rels) {
-    if (rel.IsIntraPattern()) {
-      size_t w = 0;
-      for (size_t i = 0; i < events.size(); ++i) {
-        if (CheckAttrRel(rel, events[i], events[i], catalog)) {
-          events[w++] = events[i];
-        }
-      }
-      events.resize(w);
-    }
-  }
+  // Intra-pattern attribute relationships filter single events (an anomaly
+  // query has one pattern).
+  ApplyIntraRels(ctx, 0, &events, catalog);
 
   std::vector<std::string> columns{"window"};
   for (const OutputItem& item : ctx.items) {

@@ -87,6 +87,32 @@ bool CheckTempRel(const TempRelation& rel, const EventView& le, const EventView&
   return false;
 }
 
+TimeRange TempRelBounds(const TempRelation& rel, bool known_is_left, TimestampMs tmin,
+                        TimestampMs tmax) {
+  const DurationMs gap = std::max<DurationMs>(rel.lo.value_or(0), 1);  // strict order
+  const bool has_hi = rel.hi.has_value();
+  const DurationMs hi = rel.hi.value_or(0);
+  ast::TempOrder order = rel.order;
+  if (!known_is_left) {
+    // The relationship reads "left <order> right" and the known event is
+    // the right one: flip the order to read the unknown side against it.
+    if (order == ast::TempOrder::kBefore) {
+      order = ast::TempOrder::kAfter;
+    } else if (order == ast::TempOrder::kAfter) {
+      order = ast::TempOrder::kBefore;
+    }
+  }
+  switch (order) {
+    case ast::TempOrder::kBefore:  // unknown strictly later than known
+      return {tmin + gap, has_hi ? tmax + hi + 1 : INT64_MAX};
+    case ast::TempOrder::kAfter:  // unknown strictly earlier than known
+      return {has_hi ? tmin - hi : INT64_MIN, tmax - gap + 1};
+    case ast::TempOrder::kWithin:
+      return {has_hi ? tmin - hi : INT64_MIN, has_hi ? tmax + hi + 1 : INT64_MAX};
+  }
+  return {};
+}
+
 std::vector<Relationship> InterPatternRelationships(const QueryContext& ctx) {
   std::vector<Relationship> out;
   for (const AttrRelation& r : ctx.attr_rels) {

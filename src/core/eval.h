@@ -23,6 +23,14 @@ bool CheckAttrRel(const AttrRelation& rel, const EventView& le, const EventView&
                   const EntityCatalog& catalog);
 bool CheckTempRel(const TempRelation& rel, const EventView& le, const EventView& re);
 
+// The start times [begin, end) that an event of one side of `rel` may have,
+// given that the event of the other, known side started within
+// [tmin, tmax]. `known_is_left`: the known event matches rel's left pattern.
+// A superset of what CheckTempRel admits (it ignores a `within` lower bound),
+// so callers narrow with it and then check each pair exactly.
+TimeRange TempRelBounds(const TempRelation& rel, bool known_is_left, TimestampMs tmin,
+                        TimestampMs tmax);
+
 // Unified relationship handle used by the schedulers.
 struct Relationship {
   enum class Kind : uint8_t { kAttr, kTemp };

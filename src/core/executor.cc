@@ -75,11 +75,6 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
                                &stats->plan_cache_hits, ctx);
 }
 
-namespace {
-
-// Pushdown is skipped when the candidate value set exceeds this size.
-constexpr size_t kPushdownValueLimit = 262144;
-
 // Applies intra-pattern attribute relationships (e.g. p1.user = f1.owner
 // within one pattern) as a row filter on the pattern's matches.
 void ApplyIntraRels(const QueryContext& ctx, size_t pattern, std::vector<EventView>* events,
@@ -98,17 +93,16 @@ void ApplyIntraRels(const QueryContext& ctx, size_t pattern, std::vector<EventVi
   }
 }
 
+namespace {
+
+// Pushdown is skipped when the candidate value set exceeds this size.
+constexpr size_t kPushdownValueLimit = 262144;
+
 // Pattern type rank for relationship ordering: the paper sorts relationships
 // over process/network events ahead of file events (§5.2 step 2).
 int PatternTypeRank(const QueryContext& ctx, size_t pattern) {
   return ctx.patterns[pattern].query.object_type == EntityType::kFile ? 1 : 0;
 }
-
-struct RelOrderKey {
-  int type_rank;
-  size_t neg_score_sum;
-  size_t index;
-};
 
 std::vector<Relationship> SortedRelationships(const QueryContext& ctx,
                                               std::vector<Relationship> rels) {
@@ -272,35 +266,8 @@ class MultieventExecutor {
         q->pushed_time = TimeRange{0, 0};  // empty: no source rows
         return;
       }
-      const TempRelation& tr = rel.temp;
-      bool target_is_left = tr.left_pattern == target;
-      DurationMs lo = tr.lo.value_or(0);
-      bool has_hi = tr.hi.has_value();
-      DurationMs hi = tr.hi.value_or(0);
-      TimeRange bound;  // admissible start times of the target event
-      ast::TempOrder order = tr.order;
-      if (target_is_left) {
-        // target <order> source: flip to express target relative to source.
-        if (order == ast::TempOrder::kBefore) {
-          order = ast::TempOrder::kAfter;
-        } else if (order == ast::TempOrder::kAfter) {
-          order = ast::TempOrder::kBefore;
-        }
-      }
-      switch (order) {
-        case ast::TempOrder::kBefore:  // target later than source
-          bound.begin = tmin + std::max<DurationMs>(lo, 1);
-          bound.end = has_hi ? tmax + hi + 1 : INT64_MAX;
-          break;
-        case ast::TempOrder::kAfter:  // target earlier than source
-          bound.begin = has_hi ? tmin - hi : INT64_MIN;
-          bound.end = tmax - std::max<DurationMs>(lo, 1) + 1;
-          break;
-        case ast::TempOrder::kWithin:
-          bound.begin = has_hi ? tmin - hi : INT64_MIN;
-          bound.end = has_hi ? tmax + hi + 1 : INT64_MAX;
-          break;
-      }
+      // Admissible start times of the target event.
+      const TimeRange bound = TempRelBounds(rel.temp, rel.temp.left_pattern == source, tmin, tmax);
       q->pushed_time = q->pushed_time.has_value() ? q->pushed_time->Intersect(bound) : bound;
       ++stats_->pushdown_applications;
     }

@@ -79,6 +79,11 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
                                       ExecutionSession* session,
                                       const ScanContext* ctx = nullptr);
 
+// Applies the intra-pattern attribute relationships of `pattern` (e.g.
+// p1.user = f1.owner within one pattern) as a row filter on its matches.
+void ApplyIntraRels(const QueryContext& ctx, size_t pattern, std::vector<EventView>* events,
+                    const EntityCatalog& catalog);
+
 }  // namespace aiql
 
 #endif  // AIQL_SRC_CORE_EXECUTOR_H_

@@ -16,9 +16,9 @@
 //   auto result = bound.value().Run();
 //
 // Lifetimes: a PreparedQuery / BoundQuery borrows the engine (and through it
-// the database); both must outlive it. Cached scan plans pin partitions of
-// the current finalization — re-finalizing the database invalidates prepared
-// queries, the same rule as for EventViews.
+// the database); both must outlive it. Cached scan plans describe one
+// finalization of the database: after the database is re-finalized, the
+// next Run plans afresh (see Database::ExecuteQueryCached).
 #ifndef AIQL_SRC_CORE_PREPARED_QUERY_H_
 #define AIQL_SRC_CORE_PREPARED_QUERY_H_
 

@@ -196,41 +196,15 @@ Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet&
     times[i] = right.rows()[order[i]][rcol].start_time();
   }
 
-  // Admissible start-time interval of the right event given the left event.
-  auto bounds = [&](TimestampMs lt) -> std::pair<TimestampMs, TimestampMs> {
-    const DurationMs lo = rel.lo.value_or(0);
-    const bool has_hi = rel.hi.has_value();
-    const DurationMs hi = rel.hi.value_or(0);
-    ast::TempOrder order_eff = rel.order;
-    if (!left_has_lhs) {
-      // The relationship reads "rel.left <order> rel.right" but the left
-      // tuple set holds rel.right; flip the inequality.
-      if (order_eff == ast::TempOrder::kBefore) {
-        order_eff = ast::TempOrder::kAfter;
-      } else if (order_eff == ast::TempOrder::kAfter) {
-        order_eff = ast::TempOrder::kBefore;
-      }
-    }
-    switch (order_eff) {
-      case ast::TempOrder::kBefore:  // right strictly later than left
-        return {lt + std::max<DurationMs>(lo, 1),
-                has_hi ? lt + hi + 1 : INT64_MAX};
-      case ast::TempOrder::kAfter:  // right strictly earlier than left
-        return {has_hi ? lt - hi : INT64_MIN, lt - std::max<DurationMs>(lo, 1) + 1};
-      case ast::TempOrder::kWithin:
-        return {has_hi ? lt - hi : INT64_MIN, has_hi ? lt + hi + 1 : INT64_MAX};
-    }
-    return {INT64_MIN, INT64_MAX};
-  };
-
   TupleSet out;
   out.patterns_ = left.patterns();
   out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
   for (const auto& lrow : left.rows()) {
-    TimestampMs lt = lrow[lcol].start_time();
-    auto [tmin, tmax] = bounds(lt);
-    auto first = std::lower_bound(times.begin(), times.end(), tmin);
-    auto last = std::lower_bound(times.begin(), times.end(), tmax);
+    // Admissible start times of the right event given the left event.
+    const TimestampMs lt = lrow[lcol].start_time();
+    const TimeRange window = TempRelBounds(rel, left_has_lhs, lt, lt);
+    auto first = std::lower_bound(times.begin(), times.end(), window.begin);
+    auto last = std::lower_bound(times.begin(), times.end(), window.end);
     for (auto it = first; it != last; ++it) {
       size_t j = order[static_cast<size_t>(it - times.begin())];
       const auto& rrow = right.rows()[j];

@@ -165,16 +165,20 @@ Status AuditLogParser::IngestLine(const std::string& line) {
     t = *corrected;
   }
 
-  uint32_t subject =
-      db_->catalog().InternProcess(agent_id, pid.value(), exe.value(),
-                                   f.count("user") > 0 ? f.at("user") : "system");
-
+  // Each object kind validates its fields before the first Intern*, so a
+  // rejected record leaves nothing in the catalog. The subject is interned
+  // before the object either way.
+  auto intern_subject = [&] {
+    return db_->catalog().InternProcess(agent_id, pid.value(), exe.value(),
+                                        f.count("user") > 0 ? f.at("user") : "system");
+  };
   const std::string& kind = obj.value();
   if (kind == "file") {
     Result<std::string> path = FieldStr(f, "path");
     if (!path.ok()) {
       return path.status();
     }
+    uint32_t subject = intern_subject();
     uint32_t file = db_->catalog().InternFile(agent_id, path.value());
     db_->RecordEvent(agent_id, subject, *op, EntityType::kFile, file, t, amount.value(),
                      static_cast<int32_t>(fail.value()));
@@ -188,6 +192,7 @@ Status AuditLogParser::IngestLine(const std::string& line) {
     if (Status s = FirstError({tpid.status(), texe.status(), tagent.status()}); !s.ok()) {
       return s;
     }
+    uint32_t subject = intern_subject();
     uint32_t target = db_->catalog().InternProcess(static_cast<AgentId>(tagent.value()),
                                                    tpid.value(), texe.value());
     db_->RecordEvent(agent_id, subject, *op, EntityType::kProcess, target, t, amount.value(),
@@ -203,6 +208,7 @@ Status AuditLogParser::IngestLine(const std::string& line) {
     }
     std::string src = f.count("src") > 0 ? f.at("src") : "0.0.0.0";
     std::string proto = f.count("proto") > 0 ? f.at("proto") : "tcp";
+    uint32_t subject = intern_subject();
     uint32_t conn = db_->catalog().InternNetwork(agent_id, src, dst.value(),
                                                  static_cast<int32_t>(sport.value()),
                                                  static_cast<int32_t>(dport.value()), proto);

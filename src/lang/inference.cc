@@ -1,5 +1,6 @@
 // Context-aware inference: resolves AIQL syntax shortcuts (paper §4.1) and
 // rewrites dependency queries into multievent queries (paper §5.1).
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -186,37 +187,33 @@ class Resolver {
     ctx_.step = global.step;
     PredExpr constraint = global.constraint;
     Status s = ResolvePred(&constraint, AttrOwner::kEvent, global.line);
-    if (!s.ok()) {
-      return s;
+    if (s.ok()) {
+      CollectGlobalEventPreds(constraint);
     }
-    return CollectGlobalEventPreds(constraint, global.line);
+    return s;
   }
 
-  Status CollectGlobalEventPreds(const PredExpr& pred, int line) {
-    if (pred.kind() == PredExpr::Kind::kTrue) {
-      return Status::Ok();
-    }
-    if (pred.kind() == PredExpr::Kind::kLeaf) {
-      // Agent equalities scope partitions through global_agents; every other
-      // comparison filters each pattern's events.
-      std::optional<std::vector<AgentId>> agents = AgentIdsFromPred(pred, Attr::kEventAgentId);
-      if (agents.has_value()) {
-        ctx_.global_agents = IntersectAgents(ctx_.global_agents, agents);
-      } else {
-        global_event_pred_ = PredExpr::And(std::move(global_event_pred_), pred);
-      }
-      return Status::Ok();
-    }
+  // The parser builds the global constraint as true, one comparison, or a
+  // flat conjunction of comparisons (ParseGlobalConstraints).
+  void CollectGlobalEventPreds(const PredExpr& pred) {
     if (pred.kind() == PredExpr::Kind::kAnd) {
       for (const PredExpr& child : pred.children()) {
-        Status s = CollectGlobalEventPreds(child, line);
-        if (!s.ok()) {
-          return s;
-        }
+        CollectGlobalEventPreds(child);
       }
-      return Status::Ok();
+      return;
     }
-    return LineError(line, "global constraints must be a conjunction of simple comparisons");
+    if (pred.kind() != PredExpr::Kind::kLeaf) {
+      assert(pred.is_true());
+      return;
+    }
+    // Agent equalities scope partitions through global_agents; every other
+    // comparison filters each pattern's events.
+    std::optional<std::vector<AgentId>> agents = AgentIdsFromPred(pred, Attr::kEventAgentId);
+    if (agents.has_value()) {
+      ctx_.global_agents = IntersectAgents(ctx_.global_agents, agents);
+    } else {
+      global_event_pred_ = PredExpr::And(std::move(global_event_pred_), pred);
+    }
   }
 
   // Registers a variable occurrence; lowers entity-ID reuse into an implicit

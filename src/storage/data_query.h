@@ -2,11 +2,11 @@
 // event pattern (paper §5.1, Fig 3).
 //
 // A data query carries the pattern's static constraints (operation set, time
-// range, agent constraint, subject/object/event predicates) plus optional
-// *pushed-down* constraints supplied by the relationship-based scheduler
-// (Algorithm 1): candidate entity index sets and a narrowed time range
-// derived from already-executed patterns. Pushdown is what "execute q_j under
-// S_i" means in the paper.
+// range, agent constraint, subject/object/event predicates) plus the
+// constraints the relationship-based scheduler (Algorithm 1) pushes down from
+// already-executed patterns: IN predicates conjoined into the subject, object
+// or event predicate, and a narrowed time range. Pushdown is what "execute
+// q_j under S_i" means in the paper.
 #ifndef AIQL_SRC_STORAGE_DATA_QUERY_H_
 #define AIQL_SRC_STORAGE_DATA_QUERY_H_
 
@@ -14,7 +14,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "src/storage/event.h"
@@ -34,9 +33,7 @@ struct DataQuery {
   PredExpr object_pred;                           // over object attributes
   PredExpr event_pred;                            // over event attributes
 
-  // --- pushed-down constraints (from Algorithm 1 scheduling) ---
-  std::optional<std::vector<uint32_t>> subject_candidates;  // catalog indices
-  std::optional<std::vector<uint32_t>> object_candidates;
+  // --- pushed-down time bound (from Algorithm 1 scheduling) ---
   std::optional<TimeRange> pushed_time;
 
   // Number of static constraints; the pruning score of the pattern.
@@ -74,12 +71,13 @@ struct ScanStats {
   uint64_t index_lookups = 0;
   uint64_t parallel_morsels = 0;   // work-queue entries of a parallel scan
                                    // (whole partitions or row-range chunks)
-  // Of partitions_pruned: skipped because a pushed-down subject/object
-  // candidate set cannot intersect the partition's entity zone summary
-  // (index range or bloom filter).
+  // Of partitions_pruned: skipped because a side's candidate entities cannot
+  // intersect the partition's entity zone summary (index range or bloom
+  // filter).
   uint64_t partitions_pruned_entity = 0;
-  // Rows whose entity membership probe was a dense-bitmap bit test instead of
-  // a hash-set lookup (counted once per row per bitmap stage).
+  // Rows tested against a plan's candidate-entity bitmap. Every entity
+  // membership test is one, so this counts each scanned row once per
+  // constrained side (subject, object) that it reaches.
   uint64_t bitmap_probes = 0;
   // Archive tier (see partition.h). Unlike the counters above these depend on
   // decode-cache residency, not just the query: a partition whose decoded

@@ -83,6 +83,7 @@ void Database::Finalize() {
   BuildEntityIndexes();
   ApplyArchivePolicy();
   finalized_ = true;
+  ++finalizations_;
 }
 
 void Database::ApplyArchivePolicy() {
@@ -209,28 +210,11 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     return std::nullopt;
   }
 
-  // Resolve candidate entity sets from predicates and pushdown.
-  std::optional<std::unordered_set<uint32_t>>& subject_set = plan.subject_set;
+  // Resolve each constrained side to its candidate entities.
   if (!q.subject_pred.is_true()) {
-    std::vector<uint32_t> found =
-        FindEntities(EntityType::kProcess, q.subject_pred, q.agent_ids, st);
-    subject_set.emplace(found.begin(), found.end());
+    plan.subjects.emplace(FindEntities(EntityType::kProcess, q.subject_pred, q.agent_ids, st),
+                          catalog_->CountOf(EntityType::kProcess));
   }
-  if (q.subject_candidates.has_value()) {
-    if (!subject_set.has_value()) {
-      subject_set.emplace(q.subject_candidates->begin(), q.subject_candidates->end());
-    } else {
-      std::unordered_set<uint32_t> merged;
-      for (uint32_t idx : *q.subject_candidates) {
-        if (subject_set->count(idx) > 0) {
-          merged.insert(idx);
-        }
-      }
-      subject_set = std::move(merged);
-    }
-  }
-
-  std::optional<std::unordered_set<uint32_t>>& object_set = plan.object_set;
   if (!q.object_pred.is_true()) {
     // Files and network connections are recorded as entities of the host the
     // event occurred on, so the event's agent constraint narrows the
@@ -239,26 +223,13 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     const auto& object_agents = q.object_type == EntityType::kProcess
                                     ? std::optional<std::vector<AgentId>>{}
                                     : q.agent_ids;
-    std::vector<uint32_t> found = FindEntities(q.object_type, q.object_pred, object_agents, st);
-    object_set.emplace(found.begin(), found.end());
-  }
-  if (q.object_candidates.has_value()) {
-    if (!object_set.has_value()) {
-      object_set.emplace(q.object_candidates->begin(), q.object_candidates->end());
-    } else {
-      std::unordered_set<uint32_t> merged;
-      for (uint32_t idx : *q.object_candidates) {
-        if (object_set->count(idx) > 0) {
-          merged.insert(idx);
-        }
-      }
-      object_set = std::move(merged);
-    }
+    plan.objects.emplace(FindEntities(q.object_type, q.object_pred, object_agents, st),
+                         catalog_->CountOf(q.object_type));
   }
 
   // Short-circuit: a constrained side with no candidates matches nothing.
-  if ((subject_set.has_value() && subject_set->empty()) ||
-      (object_set.has_value() && object_set->empty())) {
+  if ((plan.subjects.has_value() && plan.subjects->ids.empty()) ||
+      (plan.objects.has_value() && plan.objects->ids.empty())) {
     return std::nullopt;
   }
 
@@ -270,19 +241,7 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     plan.agent_set.emplace(q.agent_ids->begin(), q.agent_ids->end());
   }
 
-  // Candidate-set summaries for entity zone pruning, computed once per query
-  // (not per partition): index range plus bloom-probe eligibility.
-  std::optional<CandidateSummary> subjects;
-  std::optional<CandidateSummary> objects;
-  if (options_.entity_pruning) {
-    if (subject_set.has_value()) {
-      subjects = CandidateSummary::For(*subject_set);
-    }
-    if (object_set.has_value()) {
-      objects = CandidateSummary::For(*object_set);
-    }
-  }
-
+  const PartitionScanArgs args = plan.ArgsFor(*catalog_);
   TimeRange range = q.EffectiveTime();
   for (const auto& [key, p] : partitions_) {
     if (options_.scheme == PartitionScheme::kTimeSpace) {
@@ -297,10 +256,8 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     }
     // Zone-map pruning: skip the partition when no stored event can satisfy
     // the operation mask, object type, agent set, compiled column filters, or
-    // entity candidate summaries.
-    if (!p->CanMatch(range, q, compiled, plan.agent_set.has_value() ? &*plan.agent_set : nullptr,
-                     subjects.has_value() ? &*subjects : nullptr,
-                     objects.has_value() ? &*objects : nullptr, st)) {
+    // candidate entities.
+    if (!p->CanMatch(range, q, compiled, args.agent_set, args.subjects, args.objects, st)) {
       ++st->partitions_pruned;
       st->events_skipped += p->size();
       continue;
@@ -308,23 +265,6 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     plan.survivors.push_back(p.get());
   }
 
-  // Translate candidate sets into per-partition dense bitmaps for the
-  // survivors the vectorized scan will probe row-by-row (the posting-list
-  // access path unions tiny offset lists instead and skips the translation).
-  if (options_.entity_bitmaps &&
-      (plan.subject_set.has_value() || plan.object_set.has_value() ||
-       plan.agent_set.has_value())) {
-    plan.bitmaps.resize(plan.survivors.size());
-    const auto* subj = plan.subject_set.has_value() ? &*plan.subject_set : nullptr;
-    const auto* obj = plan.object_set.has_value() ? &*plan.object_set : nullptr;
-    const auto* agents = plan.agent_set.has_value() ? &*plan.agent_set : nullptr;
-    for (size_t i = 0; i < plan.survivors.size(); ++i) {
-      if (plan.survivors[i]->PrefersPostingScan(subj, obj)) {
-        continue;
-      }
-      plan.bitmaps[i] = plan.survivors[i]->TranslateCandidateBitmaps(subj, obj, agents);
-    }
-  }
   return plan;
 }
 
@@ -340,7 +280,7 @@ void Database::ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m,
   if (m.first) {
     ++stats->partitions_scanned;
   }
-  PartitionScanArgs args = plan.ArgsFor(m.survivor, *catalog_, m.begin_row, m.end_row);
+  PartitionScanArgs args = plan.ArgsFor(*catalog_, m.begin_row, m.end_row);
   args.decode_cache = decode_cache_.get();
   args.pins = ctx != nullptr ? ctx->pins : nullptr;
   plan.survivors[m.survivor]->Execute(args, out, stats);
@@ -349,8 +289,8 @@ void Database::ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m,
 std::vector<ScanMorsel> BuildScanMorsels(const ScanPlan& plan, uint32_t morsel_rows) {
   std::vector<ScanMorsel> morsels;
   morsels.reserve(plan.survivors.size());
-  const auto* subj = plan.subject_set.has_value() ? &*plan.subject_set : nullptr;
-  const auto* obj = plan.object_set.has_value() ? &*plan.object_set : nullptr;
+  const EntityCandidates* subjects = plan.subjects.has_value() ? &*plan.subjects : nullptr;
+  const EntityCandidates* objects = plan.objects.has_value() ? &*plan.objects : nullptr;
   const TimeRange range = plan.query->EffectiveTime();
   for (size_t i = 0; i < plan.survivors.size(); ++i) {
     const Partition* p = plan.survivors[i];
@@ -358,7 +298,7 @@ std::vector<ScanMorsel> BuildScanMorsels(const ScanPlan& plan, uint32_t morsel_r
     // Archived partitions stay whole: splitting needs SliceRows' binary
     // search over start_time, which would force a decode at morsel-build
     // time — before pruning has proven anyone will scan the partition.
-    if (morsel_rows == 0 || p->archived() || p->PrefersPostingScan(subj, obj)) {
+    if (morsel_rows == 0 || p->archived() || p->PrefersPostingScan(subjects, objects)) {
       morsels.push_back(whole);
       continue;
     }
@@ -529,6 +469,7 @@ std::vector<EventView> Database::ExecuteQueryCached(const DataQuery& q, ScanStat
   if (key.empty()) {
     return ExecuteQueryParallel(q, stats, pool, ctx);  // too large to cache
   }
+  key += '@' + std::to_string(finalizations_);
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
 

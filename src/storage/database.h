@@ -52,31 +52,26 @@ enum class PartitionScheme : uint8_t {
 struct ScanPlan {
   const DataQuery* query = nullptr;
   CompiledEventPred compiled;
-  // Candidate entity sets resolved from predicates and pushdown; disengaged
+  // Candidate entities of each side with an entity predicate; disengaged
   // means "unconstrained side", empty would have short-circuited planning.
-  std::optional<std::unordered_set<uint32_t>> subject_set;
-  std::optional<std::unordered_set<uint32_t>> object_set;
+  std::optional<EntityCandidates> subjects;
+  std::optional<EntityCandidates> objects;
   std::optional<std::unordered_set<AgentId>> agent_set;
   // Partitions that survived scheme-key and zone-map pruning, in partition
   // (day, agent-group) order. This order is the deterministic merge order of
   // the parallel scan.
   std::vector<const Partition*> survivors;
-  // Per-survivor dense-bitmap translations of the candidate sets (parallel
-  // to `survivors`; null = no affordable bitmap). Built once at plan time and
-  // shared read-only by every morsel that scans the partition.
-  std::vector<std::unique_ptr<EntityBitmaps>> bitmaps;
 
-  // The scan arguments for survivor `i`, clamped to [begin_row, end_row).
-  PartitionScanArgs ArgsFor(size_t i, const EntityCatalog& catalog, uint32_t begin_row = 0,
+  // The scan arguments for a survivor's rows [begin_row, end_row).
+  PartitionScanArgs ArgsFor(const EntityCatalog& catalog, uint32_t begin_row = 0,
                             uint32_t end_row = UINT32_MAX) const {
     PartitionScanArgs a;
     a.query = query;
     a.pred = &compiled;
     a.catalog = &catalog;
-    a.subject_set = subject_set.has_value() ? &*subject_set : nullptr;
-    a.object_set = object_set.has_value() ? &*object_set : nullptr;
+    a.subjects = subjects.has_value() ? &*subjects : nullptr;
+    a.objects = objects.has_value() ? &*objects : nullptr;
     a.agent_set = agent_set.has_value() ? &*agent_set : nullptr;
-    a.bitmaps = i < bitmaps.size() ? bitmaps[i].get() : nullptr;
     a.begin_row = begin_row;
     a.end_row = end_row;
     return a;
@@ -126,12 +121,6 @@ struct DatabaseOptions {
   // rows split into fixed-size row-range morsels (0 = whole partitions, the
   // pre-morsel behavior kept for ablations).
   uint32_t morsel_rows = 16384;
-  // Ablation knobs for the entity-aware scan path. entity_pruning gates the
-  // zone-map entity range/bloom partition pruning; entity_bitmaps gates the
-  // plan-time dense-bitmap translation of candidate sets. Turning either off
-  // changes performance counters only, never results.
-  bool entity_pruning = true;
-  bool entity_bitmaps = true;
   // Archive tier (see partition.h). At Finalize, partitions whose
   // day is at least archive_after_days older than the newest ingested day
   // re-encode their columns and decode on demand at scan time; 0 archives
@@ -231,9 +220,10 @@ class Database : public EventStore {
   // and skips PlanQuery on a hit (incrementing *cache_hits); a miss plans,
   // publishes the compiled plan, then scans. Results and aggregate ScanStats
   // are identical to ExecuteQueryParallel — the planning-phase counters are
-  // recorded in the cache entry and replayed on hits. Cached plans pin
-  // partitions of the current finalization; re-finalizing the database
-  // invalidates the cache (same lifetime rule as returned EventViews).
+  // recorded in the cache entry and replayed on hits. The key includes the
+  // finalization count, so a plan made before the database was re-finalized
+  // (which may miss partitions and entities ingested since, and whose
+  // candidate bitmaps are sized to the catalog of its time) is never reused.
   std::vector<EventView> ExecuteQueryCached(const DataQuery& q, ScanStats* stats,
                                             ThreadPool* pool, ScanPlanCache* cache,
                                             uint64_t* cache_hits,
@@ -295,6 +285,7 @@ class Database : public EventStore {
   size_t num_events_ = 0;
   TimeRange data_range_{INT64_MAX, INT64_MIN};
   bool finalized_ = false;
+  uint64_t finalizations_ = 0;  // Finalize calls that did work; keys cached plans
 
   // Exact-value entity indexes, one per EntityType: lowercase(default
   // attribute value) -> catalog indices.

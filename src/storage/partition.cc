@@ -5,9 +5,6 @@
 namespace aiql {
 namespace {
 
-// Threshold under which posting-list access beats a range scan.
-constexpr size_t kPostingCandidateLimit = 4096;
-
 // Applies one compiled column filter with the kernel matching its operator:
 // branch-free compare loops for the ordered ops, the flat small-set probe or
 // the hash fallback for IN / NOT IN.
@@ -37,15 +34,15 @@ size_t ApplyColumnFilter(uint32_t* rows, size_t n, const T* col, const ColumnFil
   }
 }
 
-// Entity membership without a plan bitmap: flat array for small sets (the
-// probe is an order-independent OR of equality tests), hash probe otherwise.
+// Agent membership: flat array for small sets (the probe is an
+// order-independent OR of equality tests), hash probe otherwise.
 template <typename T>
 size_t ApplyMembership(uint32_t* rows, size_t n, const T* col,
-                       const std::unordered_set<uint32_t>& set) {
+                       const std::unordered_set<AgentId>& set) {
   if (set.size() <= kSmallSetProbe) {
-    uint32_t flat[kSmallSetProbe];
+    AgentId flat[kSmallSetProbe];
     size_t k = 0;
-    for (uint32_t v : set) {
+    for (AgentId v : set) {
       flat[k++] = v;
     }
     return kernels::SelectSmallSet(rows, n, col, flat, k, /*negate=*/false);
@@ -283,7 +280,7 @@ std::pair<size_t, size_t> Partition::TimeSlice(const EventColumns* cols,
 bool Partition::CanMatch(const TimeRange& range, const DataQuery& q,
                          const CompiledEventPred& pred,
                          const std::unordered_set<AgentId>* agent_set,
-                         const CandidateSummary* subjects, const CandidateSummary* objects,
+                         const EntityCandidates* subjects, const EntityCandidates* objects,
                          ScanStats* stats) const {
   if (size() == 0) {
     return false;
@@ -321,64 +318,28 @@ bool Partition::CanMatch(const TimeRange& range, const DataQuery& q,
   return true;
 }
 
-bool Partition::PrefersPostingScan(const std::unordered_set<uint32_t>* subject_set,
-                                   const std::unordered_set<uint32_t>* object_set) const {
+bool Partition::PrefersPostingScan(const EntityCandidates* subjects,
+                                   const EntityCandidates* objects) const {
   if (!has_indexes_) {
     return false;
   }
-  return (subject_set != nullptr && subject_set->size() <= kPostingCandidateLimit) ||
-         (object_set != nullptr && object_set->size() <= kPostingCandidateLimit);
+  return (subjects != nullptr && subjects->ids.size() <= kPostingCandidateLimit) ||
+         (objects != nullptr && objects->ids.size() <= kPostingCandidateLimit);
 }
 
-std::unique_ptr<EntityBitmaps> Partition::TranslateCandidateBitmaps(
-    const std::unordered_set<uint32_t>* subject_set,
-    const std::unordered_set<uint32_t>* object_set,
-    const std::unordered_set<AgentId>* agent_set) const {
-  EntityBitmaps b;
-  bool any = false;
-  if (subject_set != nullptr) {
-    b.subject = TranslateCandidates(*subject_set, zone_.subject_min, zone_.subject_max, size());
-    any |= b.subject.has_value();
-  }
-  if (object_set != nullptr) {
-    b.object = TranslateCandidates(*object_set, zone_.object_min, zone_.object_max, size());
-    any |= b.object.has_value();
-  }
-  // The agent stage only runs when some zone agent is outside the candidate
-  // set; a bitmap for a partition whose agents all qualify would never be
-  // probed.
-  if (agent_set != nullptr && !zone_.agents.empty() && AgentFilterActive(agent_set)) {
-    b.agent =
-        TranslateCandidates(*agent_set, zone_.agents.front(), zone_.agents.back(), size());
-    any |= b.agent.has_value();
-  }
-  if (!any) {
-    return nullptr;
-  }
-  return std::make_unique<EntityBitmaps>(std::move(b));
-}
-
-bool Partition::PostingCandidates(const DataQuery& q,
-                                  const std::unordered_set<uint32_t>* subject_set,
-                                  const std::unordered_set<uint32_t>* object_set, size_t lo,
-                                  size_t hi, std::vector<uint32_t>* offsets,
-                                  ScanStats* stats) const {
-  if (!has_indexes_) {
-    return false;
-  }
-  const bool subj_indexed = subject_set != nullptr && subject_set->size() <= kPostingCandidateLimit;
-  const bool obj_indexed = object_set != nullptr && object_set->size() <= kPostingCandidateLimit;
-  if (!subj_indexed && !obj_indexed) {
+bool Partition::PostingCandidates(const DataQuery& q, const EntityCandidates* subjects,
+                                  const EntityCandidates* objects, size_t lo, size_t hi,
+                                  std::vector<uint32_t>* offsets, ScanStats* stats) const {
+  if (!PrefersPostingScan(subjects, objects)) {
     return false;
   }
   // Prefer the smaller candidate set.
-  bool use_subject = subj_indexed;
-  if (subj_indexed && obj_indexed) {
-    use_subject = subject_set->size() <= object_set->size();
-  }
+  const bool subj_indexed = subjects != nullptr && subjects->ids.size() <= kPostingCandidateLimit;
+  const bool use_subject =
+      subj_indexed && (objects == nullptr || subjects->ids.size() <= objects->ids.size());
   std::vector<uint32_t> raw;
   if (use_subject) {
-    for (uint32_t idx : *subject_set) {
+    for (uint32_t idx : subjects->ids) {
       ++stats->index_lookups;
       auto it = subject_postings_.find(idx);
       if (it != subject_postings_.end()) {
@@ -386,7 +347,7 @@ bool Partition::PostingCandidates(const DataQuery& q,
       }
     }
   } else {
-    for (uint32_t idx : *object_set) {
+    for (uint32_t idx : objects->ids) {
       ++stats->index_lookups;
       auto it = object_postings_.find(PackObjectKey(q.object_type, idx));
       if (it != object_postings_.end()) {
@@ -416,47 +377,6 @@ bool Partition::AgentFilterActive(const std::unordered_set<AgentId>* agent_set) 
   return false;
 }
 
-bool Partition::NeedsFiltering(const PartitionScanArgs& args) const {
-  const DataQuery& q = *args.query;
-  const CompiledEventPred& pred = *args.pred;
-  if (OpFilterActive(static_cast<OpMask>(q.op_mask & pred.op_mask))) {
-    return true;
-  }
-  if (TypeFilterActive(q.object_type)) {
-    return true;
-  }
-  if (args.subject_set != nullptr || args.object_set != nullptr) {
-    return true;
-  }
-  if (!pred.residual.is_true()) {
-    return true;
-  }
-  for (const ColumnFilter& f : pred.filters) {
-    if (ColumnFilterActive(f)) {
-      return true;
-    }
-  }
-  return AgentFilterActive(args.agent_set);
-}
-
-void Partition::EmitRange(const EventColumns* cols, size_t lo, size_t hi,
-                          std::vector<EventView>* out, ScanStats* stats) const {
-  stats->events_matched += hi - lo;
-  out->reserve(out->size() + (hi - lo));
-  for (size_t i = lo; i < hi; ++i) {
-    out->push_back(EventView(cols, static_cast<uint32_t>(i)));
-  }
-}
-
-void Partition::EmitSel(const EventColumns* cols, const std::vector<uint32_t>& sel,
-                        std::vector<EventView>* out, ScanStats* stats) const {
-  stats->events_matched += sel.size();
-  out->reserve(out->size() + sel.size());
-  for (uint32_t r : sel) {
-    out->push_back(EventView(cols, r));
-  }
-}
-
 EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
   const DataQuery& q = *args.query;
   const CompiledEventPred& pred = *args.pred;
@@ -478,10 +398,10 @@ EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
   if (AgentFilterActive(args.agent_set)) {
     m |= ColumnBit(EventColumnId::kAgentId);
   }
-  if (args.subject_set != nullptr) {
+  if (args.subjects != nullptr) {
     m |= ColumnBit(EventColumnId::kSubjectIdx);
   }
-  if (args.object_set != nullptr) {
+  if (args.objects != nullptr) {
     m |= ColumnBit(EventColumnId::kObjectIdx);
   }
   return m;
@@ -545,36 +465,20 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
     }
   }
 
-  // Membership stages, strongest probe available first: plan-built dense
-  // bitmap (bit test) > flat small-set array > hash set.
-  const EntityBitmaps* bm = args.bitmaps;
-
   // Spatial constraint — skipped when every agent in the partition qualifies.
   if (n > 0 && AgentFilterActive(args.agent_set)) {
-    if (bm != nullptr && bm->agent.has_value()) {
-      stats->bitmap_probes += n;
-      n = kernels::SelectBitmap(rows, n, cols->agent_id.data(), *bm->agent);
-    } else {
-      n = ApplyMembership(rows, n, cols->agent_id.data(), *args.agent_set);
-    }
+    n = ApplyMembership(rows, n, cols->agent_id.data(), *args.agent_set);
   }
 
-  // Entity membership probes.
-  if (args.subject_set != nullptr && n > 0) {
-    if (bm != nullptr && bm->subject.has_value()) {
-      stats->bitmap_probes += n;
-      n = kernels::SelectBitmap(rows, n, cols->subject_idx.data(), *bm->subject);
-    } else {
-      n = ApplyMembership(rows, n, cols->subject_idx.data(), *args.subject_set);
-    }
+  // Entity membership: one bit test per row against each constrained side's
+  // catalog bitmap.
+  if (args.subjects != nullptr && n > 0) {
+    stats->bitmap_probes += n;
+    n = kernels::SelectBitmap(rows, n, cols->subject_idx.data(), args.subjects->bitmap);
   }
-  if (args.object_set != nullptr && n > 0) {
-    if (bm != nullptr && bm->object.has_value()) {
-      stats->bitmap_probes += n;
-      n = kernels::SelectBitmap(rows, n, cols->object_idx.data(), *bm->object);
-    } else {
-      n = ApplyMembership(rows, n, cols->object_idx.data(), *args.object_set);
-    }
+  if (args.objects != nullptr && n > 0) {
+    stats->bitmap_probes += n;
+    n = kernels::SelectBitmap(rows, n, cols->object_idx.data(), args.objects->bitmap);
   }
 
   // Residual predicate: row-at-a-time over whatever survives.
@@ -593,7 +497,11 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
   if (dec != nullptr && n > 0) {
     cols = dec->EnsureAll(stats);
   }
-  EmitSel(cols, *sel, out, stats);
+  stats->events_matched += n;
+  out->reserve(out->size() + n);
+  for (uint32_t r : *sel) {
+    out->push_back(EventView(cols, r));
+  }
 }
 
 void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* out,
@@ -629,23 +537,10 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
     return;
   }
 
-  // Access path selection: when a side has a small candidate set and postings
-  // exist, union the posting lists instead of scanning the time slice.
+  // Access path: the posting-list union of a side with few candidates, else
+  // every row of the time slice.
   std::vector<uint32_t> sel;
-  bool from_postings =
-      PostingCandidates(q, args.subject_set, args.object_set, lo, hi, &sel, stats);
-
-  // Fast path: the zone map proves every row in the slice matches — emit the
-  // whole range without materializing a selection vector.
-  if (!from_postings && !NeedsFiltering(args)) {
-    stats->events_scanned += hi - lo;
-    if (dec != nullptr) {
-      cols = dec->EnsureAll(stats);
-    }
-    EmitRange(cols, lo, hi, out, stats);
-    return;
-  }
-  if (!from_postings) {
+  if (!PostingCandidates(q, args.subjects, args.objects, lo, hi, &sel, stats)) {
     sel.resize(hi - lo);
     for (size_t i = lo; i < hi; ++i) {
       sel[i - lo] = static_cast<uint32_t>(i);

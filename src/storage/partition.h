@@ -115,30 +115,21 @@ class DecodeCache {
   LruCache<const Partition*, std::shared_ptr<DecodedPartition>> cache_;
 };
 
-// Plan-time per-partition entity filters: pushed-down candidate sets
-// translated into dense bitmaps over this partition's zone index ranges, so
-// the scan's membership probe is a bit test instead of a hash lookup. Built
-// once per (plan, partition) and shared read-only by every morsel that scans
-// the partition. Any member may be absent (set too small — the flat probe
-// wins — or index range too wide for an affordable bitmap).
-struct EntityBitmaps {
-  std::optional<DenseBitmap> subject;
-  std::optional<DenseBitmap> object;
-  std::optional<DenseBitmap> agent;
-};
+// Above this many candidates on a side, Execute scans the time slice and
+// probes the side's bitmap instead of unioning the posting lists.
+inline constexpr size_t kPostingCandidateLimit = 4096;
 
 // One partition-scan invocation: the query, its compiled predicate, the
-// resolved candidate sets, optional plan-built bitmaps, and a row clamp for
-// sub-partition morsels. All pointers are borrowed; `query`, `pred`, and
-// `catalog` must be non-null.
+// plan's candidate entities and agents, and a row clamp for sub-partition
+// morsels. All pointers are borrowed; `query`, `pred`, and `catalog` must be
+// non-null.
 struct PartitionScanArgs {
   const DataQuery* query = nullptr;
   const CompiledEventPred* pred = nullptr;
   const EntityCatalog* catalog = nullptr;
-  const std::unordered_set<uint32_t>* subject_set = nullptr;
-  const std::unordered_set<uint32_t>* object_set = nullptr;
+  const EntityCandidates* subjects = nullptr;
+  const EntityCandidates* objects = nullptr;
   const std::unordered_set<AgentId>* agent_set = nullptr;
-  const EntityBitmaps* bitmaps = nullptr;
   // Archive tier: the database's decode cache (required to scan an archived
   // partition) and the optional pin sink that keeps decoded columns — and
   // therefore the emitted EventViews — alive past cache eviction. Filled by
@@ -210,13 +201,13 @@ class Partition {
   // Zone-map candidate check: could ANY event in this partition satisfy the
   // query? `range` is the query's effective time range, `pred` the compiled
   // event predicate, `agent_set` the plan's resolved agent candidates, and
-  // `subjects`/`objects` optional plan-time candidate-set summaries (entity
-  // range + bloom pruning; a prune they cause bumps
+  // `subjects`/`objects` the plan's candidate entities, if constrained
+  // (entity range + bloom pruning; a prune they cause bumps
   // stats->partitions_pruned_entity). Consulted by Database::PlanQuery before
   // any scan.
   bool CanMatch(const TimeRange& range, const DataQuery& q, const CompiledEventPred& pred,
-                const std::unordered_set<AgentId>* agent_set, const CandidateSummary* subjects,
-                const CandidateSummary* objects, ScanStats* stats) const;
+                const std::unordered_set<AgentId>* agent_set, const EntityCandidates* subjects,
+                const EntityCandidates* objects, ScanStats* stats) const;
 
   // Appends events matching `args` (clamped to args.begin_row/end_row) to
   // `out`, in time order. args.pred must be the compilation of
@@ -238,19 +229,11 @@ class Partition {
   }
 
   // True when Execute would take the posting-list access path for these
-  // candidate sets. Such partitions are never split into row morsels: the
+  // candidates. Such partitions are never split into row morsels: the
   // posting union would be repeated (and its stats double-counted) per
   // morsel.
-  bool PrefersPostingScan(const std::unordered_set<uint32_t>* subject_set,
-                          const std::unordered_set<uint32_t>* object_set) const;
-
-  // Translates the candidate sets into dense bitmaps over this partition's
-  // zone index ranges (see EntityBitmaps). Returns nullptr when no side is
-  // worth a bitmap.
-  std::unique_ptr<EntityBitmaps> TranslateCandidateBitmaps(
-      const std::unordered_set<uint32_t>* subject_set,
-      const std::unordered_set<uint32_t>* object_set,
-      const std::unordered_set<AgentId>* agent_set) const;
+  bool PrefersPostingScan(const EntityCandidates* subjects,
+                          const EntityCandidates* objects) const;
 
   // Visits every event in storage order (start_time order once finalized;
   // ingest order before). Rows materialize on the fly; archived partitions
@@ -277,9 +260,9 @@ class Partition {
   // post-finalize ingest works.
   void Rehydrate();
 
-  // Per-stage activity predicates, shared by NeedsFiltering and VectorScan
-  // so the fast path and the filter pipeline can never disagree about which
-  // stages may reject a row.
+  // Per-stage activity predicates, shared by ScanColumnMask and VectorScan
+  // so the decoded columns and the filter pipeline can never disagree about
+  // which stages run.
   bool OpFilterActive(OpMask mask) const { return (zone_.op_mask & ~mask) != 0; }
   bool TypeFilterActive(EntityType want) const {
     return zone_.object_type_mask != (1u << static_cast<int>(want));
@@ -289,29 +272,18 @@ class Partition {
     return !f.AlwaysTrueOnRange(zone_.MinOf(f.col), zone_.MaxOf(f.col));
   }
 
-  // True when some scan stage could reject a row in this partition; false
-  // means every row in a time slice matches and can be emitted directly.
-  bool NeedsFiltering(const PartitionScanArgs& args) const;
-
   // Columnar scan: narrows `sel` one kernel at a time over `cols`, then emits
-  // views. `dec` is non-null for archived partitions: surviving rows widen
-  // the decode to every column before emission.
+  // views (the single place events_matched is accounted). `dec` is non-null
+  // for archived partitions: surviving rows widen the decode to every column
+  // before emission.
   void VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& args,
                   const EventColumns* cols, DecodedPartition* dec, std::vector<EventView>* out,
                   ScanStats* stats) const;
 
-  // The two emit paths (whole range / selection vector): one
-  // reserve, and the single place events_matched is accounted, so the fast
-  // path and the filtered path cannot drift on stats.
-  void EmitRange(const EventColumns* cols, size_t lo, size_t hi, std::vector<EventView>* out,
-                 ScanStats* stats) const;
-  void EmitSel(const EventColumns* cols, const std::vector<uint32_t>& sel,
-               std::vector<EventView>* out, ScanStats* stats) const;
-
   // Unions posting lists for the chosen side into sorted offsets clipped to
   // [lo, hi). Returns false when no side qualifies for index access.
-  bool PostingCandidates(const DataQuery& q, const std::unordered_set<uint32_t>* subject_set,
-                         const std::unordered_set<uint32_t>* object_set, size_t lo, size_t hi,
+  bool PostingCandidates(const DataQuery& q, const EntityCandidates* subjects,
+                         const EntityCandidates* objects, size_t lo, size_t hi,
                          std::vector<uint32_t>* offsets, ScanStats* stats) const;
 
   PartitionKey key_;

@@ -72,24 +72,6 @@ bool AppendPred(const PredExpr& p, std::string* out, size_t* budget) {
   return false;
 }
 
-bool AppendCandidates(const std::optional<std::vector<uint32_t>>& c, std::string* out,
-                      size_t* budget) {
-  if (!c.has_value()) {
-    out->append("-;");
-    return true;
-  }
-  if (c->size() > *budget) {
-    return false;
-  }
-  *budget -= c->size();
-  for (uint32_t idx : *c) {
-    out->append(std::to_string(idx));
-    out->push_back(',');
-  }
-  out->push_back(';');
-  return true;
-}
-
 }  // namespace
 
 std::string DataQueryFingerprint(const DataQuery& q) {
@@ -123,9 +105,7 @@ std::string DataQueryFingerprint(const DataQuery& q) {
   }
   out.push_back('/');
   if (!AppendPred(q.subject_pred, &out, &budget) || !AppendPred(q.object_pred, &out, &budget) ||
-      !AppendPred(q.event_pred, &out, &budget) ||
-      !AppendCandidates(q.subject_candidates, &out, &budget) ||
-      !AppendCandidates(q.object_candidates, &out, &budget)) {
+      !AppendPred(q.event_pred, &out, &budget)) {
     return std::string();  // too large to be worth caching
   }
   return out;

@@ -14,12 +14,14 @@
 // points into its owner, never at caller memory) plus the planning-phase
 // ScanStats, which are replayed on every hit so cached and fresh executions
 // report identical aggregate statistics. Entries hold Partition pointers and
-// are valid until the database is re-finalized — the same lifetime contract
-// as the EventViews a scan returns; PreparedQuery documents it.
+// describe one finalization of the database: Database::ExecuteQueryCached
+// keys them on its finalization count, so a re-finalized database plans
+// afresh and the old entries age out.
 //
-// The cache is LRU-capped: since the plan began pinning per-survivor entity
-// bitmaps, a long-lived PreparedQuery re-bound across many distinct time
-// windows would otherwise accumulate entries without bound. Capacity comes
+// The cache is LRU-capped: each plan holds its candidate entities (ids plus
+// a catalog-wide bitmap per constrained side), and a long-lived PreparedQuery
+// re-bound across many distinct time windows would otherwise accumulate
+// entries without bound. Capacity comes
 // from the store (EventStore::PlanCacheCapacity, i.e.
 // DatabaseOptions::plan_cache_capacity). Eviction drops the cache's
 // reference only — entries are shared_ptr, so in-flight scans keep theirs
@@ -76,12 +78,12 @@ class ScanPlanCache {
   LruCache<std::string, std::shared_ptr<const Entry>> cache_;
 };
 
-// Canonical serialization of every constraint on `q` — static pattern
-// constraints plus pushed-down candidates and time bounds. Queries with equal
+// Canonical serialization of every constraint on `q` — its predicates
+// (pushed-down IN lists included) and time bounds. Queries with equal
 // fingerprints produce identical ScanPlans over the same finalized database.
-// Returns an empty string when the query is not worth caching (pushed-down
-// candidate sets or IN lists beyond kMaxFingerprintValues, whose keys would
-// cost more to build than replanning).
+// Returns an empty string when the query is not worth caching (IN lists
+// beyond kMaxFingerprintValues values, whose keys would cost more to build
+// than replanning).
 std::string DataQueryFingerprint(const DataQuery& q);
 
 inline constexpr size_t kMaxFingerprintValues = 4096;

@@ -12,19 +12,20 @@
 // auto-vectorize. This replaces the per-row lambda dispatch the scan
 // previously funneled through a generic FilterSel template.
 //
-// Membership probes come in three strengths, chosen per partition:
-//   - SelectBitmap: one bit test per row against a DenseBitmap the planner
-//     translated from the candidate set over the partition's index range;
-//   - SelectSmallSet / SelectNotSmallSet: an OR over <= kSmallSetProbe
-//     equality tests against a flat array (no hashing, no pointer chase);
-//   - SelectHashSet: the std::unordered_set fallback for large sets with no
-//     affordable bitmap.
+// Membership probes:
+//   - SelectBitmap: one bit test per row against a DenseBitmap. Entity
+//     membership always takes it: the planner builds one bitmap per
+//     constrained side over that side's whole catalog (EntityCandidates);
+//   - SelectSmallSet: an OR over <= kSmallSetProbe equality tests against a
+//     flat array (no hashing, no pointer chase);
+//   - SelectHashSet: the std::unordered_set fallback for larger sets.
+// The last two serve agent sets and IN / NOT IN column filters.
 #ifndef AIQL_SRC_STORAGE_SCAN_KERNELS_H_
 #define AIQL_SRC_STORAGE_SCAN_KERNELS_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -35,45 +36,31 @@ namespace aiql {
 // Flat-array membership beats hashing up to this many elements.
 inline constexpr size_t kSmallSetProbe = 8;
 
-// Dense bitmap over the contiguous index interval [base, base+span). The
-// planner builds one per (partition, candidate set) pair — candidate values
-// inside the partition's zone min/max range become set bits — so the per-row
-// probe in the scan is a single bit test. Probing values outside the interval
-// is the caller's bug: partitions guarantee every stored index lies inside
-// their zone range, which is exactly the interval the planner allocates.
+// Dense bitmap over the index interval [0, span): one bit per value, so a
+// membership probe is a single bit test. Probing a value at or beyond `span`
+// is the caller's bug (asserted in debug builds); an EntityCandidates bitmap
+// spans its entity type's whole catalog, which every stored index lies in.
 class DenseBitmap {
  public:
-  DenseBitmap(uint32_t base, uint32_t span)
-      : base_(base), span_(span), words_((static_cast<size_t>(span) + 63) / 64, 0) {}
+  explicit DenseBitmap(uint32_t span)
+      : span_(span), words_((static_cast<size_t>(span) + 63) / 64, 0) {}
 
-  uint32_t base() const { return base_; }
   uint32_t span() const { return span_; }
-  bool Covers(uint32_t v) const { return v - base_ < span_; }
 
   void Set(uint32_t v) {
-    uint32_t off = v - base_;
-    words_[off >> 6] |= uint64_t{1} << (off & 63);
+    assert(v < span_);
+    words_[v >> 6] |= uint64_t{1} << (v & 63);
   }
 
   uint64_t Test(uint32_t v) const {
-    uint32_t off = v - base_;
-    return (words_[off >> 6] >> (off & 63)) & 1;
+    assert(v < span_);
+    return (words_[v >> 6] >> (v & 63)) & 1;
   }
 
  private:
-  uint32_t base_ = 0;
   uint32_t span_ = 0;
   std::vector<uint64_t> words_;
 };
-
-// Translates a candidate set into a dense bitmap over the zone index range
-// [zone_min, zone_max] when affordable: the set must be beyond the flat-probe
-// size (small sets take the SelectSmallSet kernel), and the range must be
-// bounded relative to the partition's row count — the bitmap is zeroed once
-// but pays off once per scanned row. Returns nullopt otherwise.
-std::optional<DenseBitmap> TranslateCandidates(const std::unordered_set<uint32_t>& set,
-                                               uint32_t zone_min, uint32_t zone_max,
-                                               size_t partition_rows);
 
 namespace kernels {
 
@@ -153,8 +140,8 @@ inline size_t SelectEq(uint32_t* sel, size_t n, const T* col, T want) {
   return w;
 }
 
-// Dense-bitmap membership: one bit test per row. Every probed value must be
-// covered by the bitmap's interval (see DenseBitmap).
+// Dense-bitmap membership: one bit test per row. Every probed value must lie
+// inside the bitmap's span (see DenseBitmap).
 template <typename T>
 inline size_t SelectBitmap(uint32_t* sel, size_t n, const T* col, const DenseBitmap& bitmap) {
   size_t w = 0;
@@ -186,9 +173,8 @@ inline size_t SelectSmallSet(uint32_t* sel, size_t n, const T* col, const V* val
   return w;
 }
 
-// Hash-set membership fallback for large candidate sets with no affordable
-// bitmap. The probe itself branches inside the hash table; the compaction
-// still does not.
+// Hash-set membership for sets larger than kSmallSetProbe. The probe itself
+// branches inside the hash table; the compaction still does not.
 template <typename T, typename SetT>
 inline size_t SelectHashSet(uint32_t* sel, size_t n, const T* col,
                             const std::unordered_set<SetT>& set, bool negate) {

@@ -60,25 +60,12 @@ void ZoneMap::Seal() {
   pending_objects_ = {};
 }
 
-CandidateSummary CandidateSummary::For(const std::unordered_set<uint32_t>& set) {
-  CandidateSummary s;
-  s.set = &set;
-  s.min_idx = UINT32_MAX;
-  s.max_idx = 0;
-  for (uint32_t idx : set) {
-    s.min_idx = std::min(s.min_idx, idx);
-    s.max_idx = std::max(s.max_idx, idx);
-  }
-  s.bloom_probe = set.size() <= kEntityBloomProbeLimit;
-  return s;
-}
-
-bool ZoneMap::MayContainSubject(const CandidateSummary& s) const {
-  if (s.max_idx < subject_min || s.min_idx > subject_max) {
+bool ZoneMap::MayContainSubject(const EntityCandidates& c) const {
+  if (c.max() < subject_min || c.min() > subject_max) {
     return false;
   }
-  if (s.bloom_probe && !subject_bloom.empty()) {
-    for (uint32_t idx : *s.set) {
+  if (c.bloom_probe() && !subject_bloom.empty()) {
+    for (uint32_t idx : c.ids) {
       if (subject_bloom.MayContain(idx)) {
         return true;
       }
@@ -88,12 +75,12 @@ bool ZoneMap::MayContainSubject(const CandidateSummary& s) const {
   return true;
 }
 
-bool ZoneMap::MayContainObject(const CandidateSummary& s, EntityType object_type) const {
-  if (s.max_idx < object_min || s.min_idx > object_max) {
+bool ZoneMap::MayContainObject(const EntityCandidates& c, EntityType object_type) const {
+  if (c.max() < object_min || c.min() > object_max) {
     return false;
   }
-  if (s.bloom_probe && !object_bloom.empty()) {
-    for (uint32_t idx : *s.set) {
+  if (c.bloom_probe() && !object_bloom.empty()) {
+    for (uint32_t idx : c.ids) {
       if (object_bloom.MayContain(PackObjectKey(object_type, idx))) {
         return true;
       }

@@ -26,6 +26,7 @@
 #include "src/storage/bloom.h"
 #include "src/storage/event.h"
 #include "src/storage/predicate.h"
+#include "src/storage/scan_kernels.h"
 
 namespace aiql {
 
@@ -39,17 +40,30 @@ inline uint64_t PackObjectKey(EntityType t, uint32_t idx) {
 // candidate-by-candidate at plan time costs more than it can save.
 inline constexpr size_t kEntityBloomProbeLimit = 256;
 
-// Plan-time summary of one pushed-down candidate entity set, computed once
-// per query and consulted by Partition::CanMatch for every partition: the
-// candidate index range (zone min/max intersection test) and whether the set
-// is small enough to probe partition blooms candidate-by-candidate.
-struct CandidateSummary {
-  const std::unordered_set<uint32_t>* set = nullptr;
-  uint32_t min_idx = 0;
-  uint32_t max_idx = 0;
-  bool bloom_probe = false;  // set->size() <= kEntityBloomProbeLimit
+// One constrained side (subject or object) of a data query, resolved once per
+// plan: the sorted, unique catalog indices of its candidate entities and a
+// bitmap over the whole catalog of that entity type. The scan's membership
+// probe is one bit test per row: every stored subject_idx is a process index
+// and every object_idx that reaches the probe has passed the object-type
+// stage, so no probe falls outside the bitmap. Zone pruning reads the sorted
+// indices (their ends bound the range; small sets probe partition blooms one
+// by one), and so does the posting-list access path. Planning stops at a side
+// with no candidates, so every plan's `ids` are non-empty.
+struct EntityCandidates {
+  EntityCandidates(std::vector<uint32_t> sorted_ids, uint32_t catalog_size)
+      : ids(std::move(sorted_ids)), bitmap(catalog_size) {
+    for (uint32_t idx : ids) {
+      bitmap.Set(idx);
+    }
+  }
 
-  static CandidateSummary For(const std::unordered_set<uint32_t>& set);
+  uint32_t min() const { return ids.front(); }
+  uint32_t max() const { return ids.back(); }
+  // Small enough to probe partition blooms candidate by candidate.
+  bool bloom_probe() const { return ids.size() <= kEntityBloomProbeLimit; }
+
+  std::vector<uint32_t> ids;
+  DenseBitmap bitmap;
 };
 
 struct ZoneMap {
@@ -62,7 +76,7 @@ struct ZoneMap {
   std::vector<AgentId> agents;           // sorted distinct agents
 
   // Entity summaries: index ranges plus blocked bloom filters over the
-  // distinct entity references, so pushed-down candidate sets can prune a
+  // distinct entity references, so a plan's candidate entities can prune a
   // partition before any column is touched. object_min/max cover object
   // indexes of every type (a conservative range); the object bloom keys on
   // PackObjectKey(type, idx) and is therefore type-exact.
@@ -111,8 +125,8 @@ struct ZoneMap {
   // Could any candidate subject / object reference exist in this partition?
   // Range check first, then (for small sets) the bloom; `object_type` scopes
   // the object probe. False proves absence; true only means "possible".
-  bool MayContainSubject(const CandidateSummary& s) const;
-  bool MayContainObject(const CandidateSummary& s, EntityType object_type) const;
+  bool MayContainSubject(const EntityCandidates& c) const;
+  bool MayContainObject(const EntityCandidates& c, EntityType object_type) const;
 
   int64_t MinOf(EventColumnId c) const { return min[static_cast<int>(c)]; }
   int64_t MaxOf(EventColumnId c) const { return max[static_cast<int>(c)]; }

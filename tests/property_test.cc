@@ -11,6 +11,7 @@
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/util/string_utils.h"
+#include "src/util/thread_pool.h"
 #include "tests/reference_store.h"
 
 namespace aiql {
@@ -293,46 +294,61 @@ INSTANTIATE_TEST_SUITE_P(
 // candidate sets, must return identical results in identical order.
 
 TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
-  Database db;
-  TimestampMs base = MakeTimestamp(2017, 1, 1);
-  Rng data_rng(17);
-  std::vector<uint32_t> p, f, n;
-  for (int i = 0; i < 8; ++i) {
-    p.push_back(db.catalog().InternProcess(1 + i % 4, 100 + i, "/bin/p" + std::to_string(i),
-                                           i % 2 == 0 ? "root" : "alice"));
-  }
-  for (int i = 0; i < 20; ++i) {
-    f.push_back(db.catalog().InternFile(1 + i % 4, "/d/f" + std::to_string(i)));
-  }
-  for (int i = 0; i < 6; ++i) {
-    n.push_back(db.catalog().InternNetwork(1 + i % 4, "10.0.0.1",
-                                           "8.8." + std::to_string(i) + ".8", 1000 + i, 443));
-  }
-  for (int i = 0; i < 4000; ++i) {
-    uint32_t subj = p[data_rng.Below(p.size())];
-    AgentId agent = db.catalog().AgentOf(EntityType::kProcess, subj);
-    EntityType ot = data_rng.Chance(0.2)   ? EntityType::kNetwork
-                    : data_rng.Chance(0.3) ? EntityType::kProcess
-                                           : EntityType::kFile;
-    uint32_t obj = 0;
-    if (ot == EntityType::kFile) {
-      do {
-        obj = f[data_rng.Below(f.size())];
-      } while (db.catalog().AgentOf(EntityType::kFile, obj) != agent);
-    } else if (ot == EntityType::kNetwork) {
-      do {
-        obj = n[data_rng.Below(n.size())];
-      } while (db.catalog().AgentOf(EntityType::kNetwork, obj) != agent);
-    } else {
-      obj = p[data_rng.Below(p.size())];
+  // The same stream in an indexed store (small candidate sets take the
+  // posting-list access path) and a plain one (every constrained side is
+  // probed over the time slice).
+  Database indexed;
+  Database plain{DatabaseOptions{.build_indexes = false}};
+  const TimestampMs base = MakeTimestamp(2017, 1, 1);
+  auto fill = [base](Database& db) {
+    Rng data_rng(17);
+    std::vector<uint32_t> p, f, n;
+    for (int i = 0; i < 8; ++i) {
+      p.push_back(db.catalog().InternProcess(1 + i % 4, 100 + i, "/bin/p" + std::to_string(i),
+                                             i % 2 == 0 ? "root" : "alice"));
     }
-    auto op = static_cast<Operation>(data_rng.Below(kNumOperations));
-    db.RecordEvent(agent, subj, op, ot, obj,
-                   base + static_cast<TimestampMs>(data_rng.Below(3 * kDayMs)),
-                   data_rng.Range(0, 5000), static_cast<int32_t>(data_rng.Below(3)));
-  }
-  db.Finalize();
-  const ReferenceStore reference(db);
+    for (int i = 0; i < 20; ++i) {
+      f.push_back(db.catalog().InternFile(1 + i % 4, "/d/f" + std::to_string(i)));
+    }
+    for (int i = 0; i < 6; ++i) {
+      n.push_back(db.catalog().InternNetwork(1 + i % 4, "10.0.0.1",
+                                             "8.8." + std::to_string(i) + ".8", 1000 + i, 443));
+    }
+    // Files no event references, so a file candidate set can exceed
+    // kPostingCandidateLimit.
+    for (uint32_t i = 0; i < kPostingCandidateLimit + 200; ++i) {
+      db.catalog().InternFile(1 + i % 4, "/idle/f" + std::to_string(i));
+    }
+    for (int i = 0; i < 4000; ++i) {
+      uint32_t subj = p[data_rng.Below(p.size())];
+      AgentId agent = db.catalog().AgentOf(EntityType::kProcess, subj);
+      EntityType ot = data_rng.Chance(0.2)   ? EntityType::kNetwork
+                      : data_rng.Chance(0.3) ? EntityType::kProcess
+                                             : EntityType::kFile;
+      uint32_t obj = 0;
+      if (ot == EntityType::kFile) {
+        do {
+          obj = f[data_rng.Below(f.size())];
+        } while (db.catalog().AgentOf(EntityType::kFile, obj) != agent);
+      } else if (ot == EntityType::kNetwork) {
+        do {
+          obj = n[data_rng.Below(n.size())];
+        } while (db.catalog().AgentOf(EntityType::kNetwork, obj) != agent);
+      } else {
+        obj = p[data_rng.Below(p.size())];
+      }
+      auto op = static_cast<Operation>(data_rng.Below(kNumOperations));
+      db.RecordEvent(agent, subj, op, ot, obj,
+                     base + static_cast<TimestampMs>(data_rng.Below(3 * kDayMs)),
+                     data_rng.Range(0, 5000), static_cast<int32_t>(data_rng.Below(3)));
+    }
+    db.Finalize();
+  };
+  fill(indexed);
+  fill(plain);
+  const EntityCatalog& catalog = indexed.catalog();
+  const ReferenceStore reference(indexed);
+  ThreadPool pool(3);
 
   auto leaf = [](Attr attr, CmpOp op, Value v) {
     AttrPredicate p;
@@ -397,23 +413,24 @@ TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
       q.object_pred = leaf(DefaultAttr(q.object_type), CmpOp::kLike, Value("%1%"));
     }
     // Pushed-down candidates, as the relationship scheduler supplies them:
-    // random index subsets, sometimes naming entities that do not exist.
-    auto candidates = [&](size_t universe) {
+    // `id IN` random index subsets, sometimes naming entities that do not
+    // exist, conjoined with the side's predicate. Dense file subsets exceed
+    // kPostingCandidateLimit, so the indexed store scans the time slice.
+    auto push_down = [&](EntityType t, PredExpr* side) {
+      const double density = rng.Chance(0.5) ? 0.3 : 0.99;
       std::vector<uint32_t> c;
-      for (uint32_t idx = 0; idx < universe + 2; ++idx) {
-        if (rng.Chance(0.3)) {
+      for (uint32_t idx = 0; idx < catalog.CountOf(t) + 2; ++idx) {
+        if (rng.Chance(density)) {
           c.push_back(idx);
         }
       }
-      return c;
+      *side = PredExpr::And(std::move(*side), EntityIdsIn(catalog, t, c));
     };
     if (rng.Chance(0.3)) {
-      q.subject_candidates = candidates(p.size());
+      push_down(EntityType::kProcess, &q.subject_pred);
     }
     if (rng.Chance(0.3)) {
-      q.object_candidates = candidates(q.object_type == EntityType::kFile      ? f.size()
-                                       : q.object_type == EntityType::kNetwork ? n.size()
-                                                                               : p.size());
+      push_down(q.object_type, &q.object_pred);
     }
 
     auto ids_of = [](const std::vector<EventView>& events) {
@@ -424,8 +441,13 @@ TEST(ReferenceStorePropertyTest, RandomQueriesMatchReferenceStore) {
       }
       return ids;
     };
-    EXPECT_EQ(ids_of(db.ExecuteQuery(q)), ids_of(reference.ExecuteQuery(q, nullptr)))
-        << "trial " << trial;
+    const std::vector<int64_t> want = ids_of(reference.ExecuteQuery(q, nullptr));
+    for (const Database* db : {&indexed, &plain}) {
+      const char* name = db == &indexed ? "indexed" : "plain";
+      EXPECT_EQ(ids_of(db->ExecuteQuery(q)), want) << name << " serial, trial " << trial;
+      EXPECT_EQ(ids_of(db->ExecuteQueryParallel(q, nullptr, &pool)), want)
+          << name << " pooled, trial " << trial;
+    }
   }
 }
 

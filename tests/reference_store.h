@@ -52,10 +52,8 @@ class ReferenceStore : public EventStore {
       const EventView e(&events_, row);
       if ((OpBit(e.op()) & q.op_mask) == 0 || e.object_type() != q.object_type ||
           !range.Contains(e.start_time()) || !Allows(q.agent_ids, e.agent_id()) ||
-          !EntityMatches(EntityType::kProcess, e.subject_idx(), q.subject_pred,
-                         q.subject_candidates, q.agent_ids) ||
-          !EntityMatches(q.object_type, e.object_idx(), q.object_pred, q.object_candidates,
-                         object_agents) ||
+          !EntityMatches(EntityType::kProcess, e.subject_idx(), q.subject_pred, q.agent_ids) ||
+          !EntityMatches(q.object_type, e.object_idx(), q.object_pred, object_agents) ||
           !q.event_pred.Eval([&](Attr a) { return EventAttr(e, catalog_, a); })) {
         continue;
       }
@@ -75,11 +73,7 @@ class ReferenceStore : public EventStore {
   }
 
   bool EntityMatches(EntityType t, uint32_t idx, const PredExpr& pred,
-                     const std::optional<std::vector<uint32_t>>& candidates,
                      const std::optional<std::vector<AgentId>>& agents) const {
-    if (!Allows(candidates, idx)) {
-      return false;
-    }
     return pred.is_true() || (Allows(agents, catalog_.AgentOf(t, idx)) &&
                               pred.Eval([&](Attr a) { return catalog_.AttrOf(t, idx, a); }));
   }
@@ -88,6 +82,21 @@ class ReferenceStore : public EventStore {
   EventColumns events_;  // (start_time, id) order: the result order
   TimeRange range_{INT64_MAX, INT64_MIN};
 };
+
+// The entity predicate `id IN (...)` naming the type-`t` catalog entities at
+// `indices`: a candidate set in the form the scheduler's pushdown hands a data
+// query. An index past the catalog's end becomes an id no entity has.
+inline PredExpr EntityIdsIn(const EntityCatalog& catalog, EntityType t,
+                            const std::vector<uint32_t>& indices) {
+  const Attr id = IdAttr(OwnerOf(t));
+  std::vector<Value> ids;
+  ids.reserve(indices.size());
+  for (uint32_t idx : indices) {
+    ids.push_back(idx < catalog.CountOf(t) ? *catalog.AttrOf(t, idx, id)
+                                           : Value(-1 - static_cast<int64_t>(idx)));
+  }
+  return PredExpr::Leaf(AttrPredicate::In(id, std::move(ids)));
+}
 
 }  // namespace aiql
 

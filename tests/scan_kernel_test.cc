@@ -1,17 +1,19 @@
-// The entity-aware scan path must be invisible in results: dense-bitmap
-// membership kernels, zone-map entity (range + bloom) partition pruning, and
-// sub-partition row morsels are pure performance features. These tests prove
-//   - bitmap-probe scans ≡ hash-set scans (same events, same events_scanned),
-//   - bloom/range-pruned plans ≡ unpruned plans (same events, events_scanned
-//     never higher, pruning observable via partitions_pruned_entity),
+// The entity-aware scan path must be invisible in results: candidate-entity
+// bitmap probes, posting-list access, zone-map entity (range + bloom)
+// partition pruning, and sub-partition row morsels are pure performance
+// features. These tests prove
+//   - plain (time-slice) and indexed (posting-list) scans ≡ the brute-force
+//     reference store, serial and pooled, with candidate sets on both sides
+//     of kPostingCandidateLimit and pruning observable via
+//     partitions_pruned_entity,
 //   - morsel-split parallel scans ≡ whole-partition and serial scans,
 // at parallelism 1/8 and against the brute-force reference store, plus unit
-// coverage for
-// the blocked bloom (false-positive-only), the dense bitmap translation, and
+// coverage for the blocked bloom (false-positive-only), the dense bitmap, and
 // the sorted-run merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "src/storage/bloom.h"
@@ -24,19 +26,32 @@
 namespace aiql {
 namespace {
 
+// Processes and files every event draws from; the catalog holds more of each
+// that no event references (indices after these).
+constexpr uint32_t kActiveProcesses = 12;
+constexpr uint32_t kActiveFiles = 120;
+
 // A 3-day, 4-host stream with agent-affine files, so candidate sets drawn
 // from one host's entities give the (day, agent-group) partitions disjoint
-// entity ranges — the shape entity zone pruning exists for.
+// entity ranges — the shape entity zone pruning exists for. The file catalog
+// is larger than kPostingCandidateLimit, so candidate sets can be drawn on
+// both sides of it.
 void FillDatabase(Database* db, int events = 6000) {
   Rng rng(91);
   TimestampMs base = MakeTimestamp(2017, 1, 1);
   std::vector<uint32_t> p, f;
-  for (int i = 0; i < 12; ++i) {
+  for (uint32_t i = 0; i < kActiveProcesses; ++i) {
     p.push_back(db->catalog().InternProcess(1 + i % 4, 500 + i, "/bin/k" + std::to_string(i),
                                             i % 2 == 0 ? "root" : "bob"));
   }
-  for (int i = 0; i < 120; ++i) {
+  for (uint32_t i = 0; i < kActiveFiles; ++i) {
     f.push_back(db->catalog().InternFile(1 + i % 4, "/k/f" + std::to_string(i)));
+  }
+  for (uint32_t i = 0; i < 16; ++i) {
+    db->catalog().InternProcess(1 + i % 4, 900 + i, "/bin/idle" + std::to_string(i));
+  }
+  for (uint32_t i = 0; i < kPostingCandidateLimit + 1000; ++i) {
+    db->catalog().InternFile(1 + i % 4, "/idle/f" + std::to_string(i));
   }
   for (int i = 0; i < events; ++i) {
     uint32_t subj = p[rng.Below(p.size())];
@@ -53,10 +68,20 @@ void FillDatabase(Database* db, int events = 6000) {
   db->Finalize();
 }
 
-// Random data query exercising the membership paths: pushed-down candidate
-// sets of varying sizes (flat small-set probe, bitmap, hash fallback), agent
-// sets, op masks, time ranges, and vectorizable event predicates.
-DataQuery RandomQuery(Rng* rng) {
+// `n` random indices below `universe` (with repeats).
+std::vector<uint32_t> RandomIndices(Rng* rng, size_t n, uint32_t universe) {
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<uint32_t>(rng->Below(universe)));
+  }
+  return out;
+}
+
+// Random data query exercising the membership paths: pushed-down `id IN`
+// candidate sets of varying sizes — a few (posting-list access when indexed)
+// or more than kPostingCandidateLimit files (time-slice access) — agent sets,
+// op masks, time ranges, and vectorizable event predicates.
+DataQuery RandomQuery(Rng* rng, const EntityCatalog& catalog) {
   TimestampMs base = MakeTimestamp(2017, 1, 1);
   DataQuery q;
   q.object_type = EntityType::kFile;
@@ -77,22 +102,32 @@ DataQuery RandomQuery(Rng* rng) {
     q.agent_ids = agents;
   }
   if (rng->Chance(0.7)) {
-    // Candidate subject processes: sometimes <= kSmallSetProbe (flat array),
-    // sometimes larger (bitmap / hash).
     size_t n = rng->Chance(0.5) ? 1 + rng->Below(4) : 6 + rng->Below(6);
-    std::vector<uint32_t> cand;
-    for (size_t i = 0; i < n; ++i) {
-      cand.push_back(static_cast<uint32_t>(rng->Below(12)));
-    }
-    q.subject_candidates = cand;
+    q.subject_pred = EntityIdsIn(catalog, EntityType::kProcess,
+                                 RandomIndices(rng, n, kActiveProcesses));
   }
   if (rng->Chance(0.7)) {
-    size_t n = rng->Chance(0.5) ? 1 + rng->Below(6) : 10 + rng->Below(40);
     std::vector<uint32_t> cand;
-    for (size_t i = 0; i < n; ++i) {
-      cand.push_back(static_cast<uint32_t>(rng->Below(120)));
+    switch (rng->Below(3)) {
+      case 0:
+        cand = RandomIndices(rng, 1 + rng->Below(6), kActiveFiles);
+        break;
+      case 1:
+        cand = RandomIndices(rng, 10 + rng->Below(40), kActiveFiles);
+        break;
+      default: {
+        // A random subset of the whole file catalog, too large for postings.
+        const auto files = static_cast<uint32_t>(catalog.CountOf(EntityType::kFile));
+        cand.resize(files);
+        std::iota(cand.begin(), cand.end(), 0u);
+        for (uint32_t i = files - 1; i > 0; --i) {
+          std::swap(cand[i], cand[rng->Below(i + 1)]);
+        }
+        cand.resize(kPostingCandidateLimit + 1 + rng->Below(files - kPostingCandidateLimit));
+        break;
+      }
     }
-    q.object_candidates = cand;
+    q.object_pred = EntityIdsIn(catalog, EntityType::kFile, cand);
   }
   if (rng->Chance(0.4)) {
     AttrPredicate pred;
@@ -149,36 +184,18 @@ TEST(BlockedBloomTest, EmptyFilterClaimsEverything) {
   EXPECT_TRUE(bloom.MayContain(42));
 }
 
-TEST(DenseBitmapTest, SetTestCovers) {
-  DenseBitmap bm(100, 70);
-  EXPECT_TRUE(bm.Covers(100));
-  EXPECT_TRUE(bm.Covers(169));
-  EXPECT_FALSE(bm.Covers(99));
-  EXPECT_FALSE(bm.Covers(170));
-  bm.Set(100);
-  bm.Set(163);
-  EXPECT_EQ(bm.Test(100), 1u);
-  EXPECT_EQ(bm.Test(163), 1u);
-  EXPECT_EQ(bm.Test(101), 0u);
-  EXPECT_EQ(bm.Test(169), 0u);
-}
-
-TEST(DenseBitmapTest, TranslateCandidatesHeuristics) {
-  std::unordered_set<uint32_t> small = {1, 2, 3};
-  // Small sets take the flat probe, never a bitmap.
-  EXPECT_FALSE(TranslateCandidates(small, 0, 1000, 1000).has_value());
-
-  std::unordered_set<uint32_t> set;
-  for (uint32_t i = 0; i < 100; ++i) {
-    set.insert(i * 3);
-  }
-  auto bm = TranslateCandidates(set, 0, 400, 1000);
-  ASSERT_TRUE(bm.has_value());
-  for (uint32_t v = 0; v <= 400; ++v) {
-    EXPECT_EQ(bm->Test(v), set.count(v) > 0 ? 1u : 0u) << v;
-  }
-  // A zone range far wider than the partition is not affordable.
-  EXPECT_FALSE(TranslateCandidates(set, 0, 100 << 20, 64).has_value());
+TEST(DenseBitmapTest, SetAndTest) {
+  DenseBitmap bm(170);
+  EXPECT_EQ(bm.span(), 170u);
+  bm.Set(0);
+  bm.Set(63);
+  bm.Set(169);
+  EXPECT_EQ(bm.Test(0), 1u);
+  EXPECT_EQ(bm.Test(63), 1u);
+  EXPECT_EQ(bm.Test(169), 1u);
+  EXPECT_EQ(bm.Test(1), 0u);
+  EXPECT_EQ(bm.Test(64), 0u);
+  EXPECT_EQ(bm.Test(168), 0u);
 }
 
 TEST(MergeSortedRunsTest, TiedTimestampsComeBackInIdOrder) {
@@ -268,66 +285,90 @@ struct NamedDb {
   Database db;
 };
 
-TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
-  // The reference configuration: columnar, no indexes (so candidate sets are
-  // probed row-by-row, not unioned from postings), bitmaps and pruning off.
-  NamedDb reference{"columnar/plain",
-                    Database{DatabaseOptions{.agent_group_size = 2,
-                                             .build_indexes = false,
-                                             .entity_pruning = false,
-                                             .entity_bitmaps = false}}};
-  std::vector<NamedDb> variants;
-  variants.emplace_back(NamedDb{
-      "columnar/bitmaps",
-      Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false,
-                               .entity_pruning = false, .entity_bitmaps = true}}});
-  variants.emplace_back(NamedDb{
-      "columnar/bitmaps+pruning",
-      Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}}});
-  variants.emplace_back(
-      NamedDb{"columnar/indexed+all", Database{DatabaseOptions{.agent_group_size = 2}}});
-  FillDatabase(&reference.db);
-  for (NamedDb& v : variants) {
-    FillDatabase(&v.db);
-  }
-  const ReferenceStore brute_force(reference.db);
+TEST(ScanEquivalenceTest, PlainAndIndexedScansMatchReference) {
+  // Plain: no indexes, so every constrained side is probed row by row over
+  // the time slice. Indexed: sides with few candidates take the posting-list
+  // union instead.
+  NamedDb plain{"plain", Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}}};
+  NamedDb indexed{"indexed", Database{DatabaseOptions{.agent_group_size = 2}}};
+  FillDatabase(&plain.db);
+  FillDatabase(&indexed.db);
+  const ReferenceStore brute_force(plain.db);
 
   ThreadPool pool8(7);
   Rng rng(404);
   uint64_t bitmap_probes = 0, pruned_entity = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    DataQuery q = RandomQuery(&rng);
-    ScanStats ref_stats;
-    std::vector<int64_t> ref_ids = IdsOf(reference.db.ExecuteQuery(q, &ref_stats));
-    EXPECT_EQ(ref_ids, IdsOf(brute_force.ExecuteQuery(q, nullptr))) << "trial " << trial;
-    for (NamedDb& v : variants) {
+    DataQuery q = RandomQuery(&rng, brute_force.catalog());
+    const std::vector<int64_t> want = IdsOf(brute_force.ExecuteQuery(q, nullptr));
+    ScanStats plain_stats;
+    for (NamedDb* v : {&plain, &indexed}) {
       ScanStats serial_stats;
-      EXPECT_EQ(IdsOf(v.db.ExecuteQuery(q, &serial_stats)), ref_ids)
-          << v.name << " trial " << trial;
+      EXPECT_EQ(IdsOf(v->db.ExecuteQuery(q, &serial_stats)), want)
+          << v->name << " trial " << trial;
       ScanStats par_stats;
-      EXPECT_EQ(IdsOf(v.db.ExecuteQueryParallel(q, &par_stats, &pool8)), ref_ids)
-          << v.name << " trial " << trial;
-      // Pruning may only ever reduce work, never change results.
-      EXPECT_LE(serial_stats.events_scanned, ref_stats.events_scanned)
-          << v.name << " trial " << trial;
+      EXPECT_EQ(IdsOf(v->db.ExecuteQueryParallel(q, &par_stats, &pool8)), want)
+          << v->name << " trial " << trial;
       EXPECT_EQ(par_stats.events_scanned, serial_stats.events_scanned)
-          << v.name << " trial " << trial;
+          << v->name << " trial " << trial;
       EXPECT_EQ(par_stats.events_matched, serial_stats.events_matched)
-          << v.name << " trial " << trial;
+          << v->name << " trial " << trial;
       EXPECT_EQ(par_stats.partitions_pruned_entity, serial_stats.partitions_pruned_entity)
-          << v.name << " trial " << trial;
+          << v->name << " trial " << trial;
       EXPECT_EQ(par_stats.bitmap_probes, serial_stats.bitmap_probes)
-          << v.name << " trial " << trial;
+          << v->name << " trial " << trial;
+      if (v == &plain) {
+        plain_stats = serial_stats;
+      } else {
+        // Posting lists only ever narrow the rows a scan touches.
+        EXPECT_LE(serial_stats.events_scanned, plain_stats.events_scanned) << "trial " << trial;
+      }
       bitmap_probes += serial_stats.bitmap_probes;
       pruned_entity += serial_stats.partitions_pruned_entity;
     }
-    // The bitmap-less reference must never probe a bitmap.
-    EXPECT_EQ(ref_stats.bitmap_probes, 0u);
-    EXPECT_EQ(ref_stats.partitions_pruned_entity, 0u);
   }
-  // The new machinery actually fired somewhere in the sweep.
+  // Both the bitmap probe and entity pruning fired somewhere in the sweep.
   EXPECT_GT(bitmap_probes, 0u);
   EXPECT_GT(pruned_entity, 0u);
+}
+
+TEST(ScanEquivalenceTest, LastCatalogEntityIsACandidate) {
+  // 129 processes and 129 files: the last index of each catalog (128) is the
+  // first bit of a new 64-bit bitmap word, so a candidate bitmap sized even
+  // one entity short reads past its end.
+  constexpr uint32_t kEntities = 129;
+  for (bool indexes : {false, true}) {
+    Database db{DatabaseOptions{.build_indexes = indexes}};
+    std::vector<uint32_t> p, f;
+    for (uint32_t i = 0; i < kEntities; ++i) {
+      p.push_back(db.catalog().InternProcess(1, 1000 + i, "/bin/b" + std::to_string(i)));
+      f.push_back(db.catalog().InternFile(1, "/b/f" + std::to_string(i)));
+    }
+    const TimestampMs base = MakeTimestamp(2017, 1, 1);
+    for (uint32_t i = 0; i < 2 * kEntities; ++i) {
+      db.RecordEvent(1, p[i % kEntities], Operation::kRead, EntityType::kFile,
+                     f[(7 * i) % kEntities], base + i);
+    }
+    db.Finalize();
+    const ReferenceStore reference(db);
+    const uint32_t last = kEntities - 1;
+    DataQuery by_subject;
+    by_subject.object_type = EntityType::kFile;
+    by_subject.subject_pred = EntityIdsIn(db.catalog(), EntityType::kProcess, {last});
+    DataQuery by_object = by_subject;
+    by_object.subject_pred = PredExpr::True();
+    by_object.object_pred = EntityIdsIn(db.catalog(), EntityType::kFile, {last});
+    DataQuery by_both = by_subject;
+    by_both.object_pred = by_object.object_pred;
+    for (const DataQuery* q : {&by_subject, &by_object, &by_both}) {
+      ScanStats stats;
+      const std::vector<int64_t> got = IdsOf(db.ExecuteQuery(*q, &stats));
+      EXPECT_EQ(got, IdsOf(reference.ExecuteQuery(*q, nullptr))) << "indexes " << indexes;
+      EXPECT_GT(stats.bitmap_probes, 0u) << "indexes " << indexes;
+    }
+    EXPECT_EQ(IdsOf(db.ExecuteQuery(by_subject)).size(), 2u) << "indexes " << indexes;
+    EXPECT_EQ(IdsOf(db.ExecuteQuery(by_object)).size(), 2u) << "indexes " << indexes;
+  }
 }
 
 TEST(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
@@ -343,7 +384,7 @@ TEST(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
   Rng rng(505);
   uint64_t split_morsels = 0, whole_morsels = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    DataQuery q = RandomQuery(&rng);
+    DataQuery q = RandomQuery(&rng, split.catalog());
     ScanStats serial_stats, split_stats, whole_stats;
     std::vector<int64_t> serial_ids = IdsOf(split.ExecuteQuery(q, &serial_stats));
     EXPECT_EQ(serial_ids, IdsOf(reference.ExecuteQuery(q, nullptr))) << "trial " << trial;
@@ -401,7 +442,7 @@ TEST(ArchiveEquivalenceTest, ArchivedPartitionsMatchHotAcrossParallelism) {
   Rng rng(606);
   uint64_t decoded = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    DataQuery q = RandomQuery(&rng);
+    DataQuery q = RandomQuery(&rng, reference.db.catalog());
     ScanStats ref_stats;
     std::vector<int64_t> ref_ids = IdsOf(reference.db.ExecuteQuery(q, &ref_stats));
     EXPECT_EQ(ref_ids, IdsOf(brute_force.ExecuteQuery(q, nullptr))) << "trial " << trial;
@@ -451,14 +492,18 @@ TEST(ArchiveEquivalenceTest, PrunedArchivedPartitionsAreNeverDecoded) {
   EXPECT_EQ(stats.decoded_bytes, 0u);
   EXPECT_EQ(db.decode_cache().size(), 0u);
 
-  // Entity pruning works the same without decode: a candidate set from a
-  // foreign host range prunes via the zone summaries.
+  // Entity pruning works the same without decode: candidate processes that
+  // no event references lie outside every partition's subject range and
+  // prune via the zone summaries.
   DataQuery q2;
   q2.object_type = EntityType::kFile;
-  q2.subject_candidates = std::vector<uint32_t>{4000, 4001, 4002, 4003, 4004,
-                                                4005, 4006, 4007, 4008, 4009};
+  std::vector<uint32_t> idle(10);
+  std::iota(idle.begin(), idle.end(), kActiveProcesses);
+  q2.subject_pred = EntityIdsIn(db.catalog(), EntityType::kProcess, idle);
   ScanStats stats2;
   EXPECT_TRUE(db.ExecuteQuery(q2, &stats2).empty());
+  EXPECT_GT(stats2.partitions_pruned_entity, 0u);
+  EXPECT_EQ(stats2.partitions_pruned_entity, stats2.partitions_pruned);
   EXPECT_EQ(stats2.partitions_decoded, 0u);
   EXPECT_EQ(db.decode_cache().size(), 0u);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/storage/database.h"
+#include "src/storage/plan_cache.h"
+#include "tests/reference_store.h"
 
 namespace aiql {
 namespace {
@@ -135,7 +137,7 @@ TEST_F(StorageTest, LikePredicateFallsBackToScan) {
 TEST_F(StorageTest, PushdownCandidatesNarrow) {
   DataQuery q;
   q.object_type = EntityType::kFile;
-  q.subject_candidates = std::vector<uint32_t>{vim_};
+  q.subject_pred = EntityIdsIn(db_.catalog(), EntityType::kProcess, {vim_});
   auto events = db_.ExecuteQuery(q);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].subject_idx(), vim_);
@@ -144,8 +146,32 @@ TEST_F(StorageTest, PushdownCandidatesNarrow) {
   pred.attr = Attr::kProcExeName;
   pred.op = CmpOp::kEq;
   pred.values = {Value("/usr/bin/bash")};
-  q.subject_pred = PredExpr::Leaf(pred);
+  q.subject_pred = PredExpr::And(std::move(q.subject_pred), PredExpr::Leaf(pred));
   EXPECT_TRUE(db_.ExecuteQuery(q).empty());
+}
+
+TEST_F(StorageTest, CachedPlanIsNotReusedAfterReFinalize) {
+  // The cached plan's candidate bitmap covers the catalog of its time; files
+  // interned and events ingested afterwards must be seen by a fresh plan.
+  DataQuery q;
+  q.object_type = EntityType::kFile;
+  AttrPredicate pred;
+  pred.attr = Attr::kFileName;
+  pred.op = CmpOp::kLike;
+  pred.values = {Value("/var/log%")};
+  q.object_pred = PredExpr::Leaf(pred);
+  ScanPlanCache cache;
+  uint64_t hits = 0;
+  EXPECT_EQ(db_.ExecuteQueryCached(q, nullptr, nullptr, &cache, &hits).size(), 1u);
+  for (int i = 0; i < 100; ++i) {
+    uint32_t f = db_.catalog().InternFile(1, "/var/log/app" + std::to_string(i));
+    db_.RecordEvent(1, vim_, Operation::kWrite, EntityType::kFile, f, t0_ + i * kSecondMs);
+  }
+  db_.Finalize();
+  EXPECT_EQ(db_.ExecuteQueryCached(q, nullptr, nullptr, &cache, &hits).size(), 101u);
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(db_.ExecuteQueryCached(q, nullptr, nullptr, &cache, &hits).size(), 101u);
+  EXPECT_EQ(hits, 1u);
 }
 
 TEST_F(StorageTest, PushedTimeNarrows) {

@@ -266,6 +266,21 @@ TEST(AuditLogTest, NumericFieldsAreRangeChecked) {
   }
 }
 
+// A record rejected for its object fields must not intern its subject: each
+// line below names a new process and fails only after the common fields
+// parse.
+TEST(AuditLogTest, RejectedRecordLeavesCatalogUntouched) {
+  Database db;
+  IngestReport report = AuditLogParser(&db).IngestText(
+      "EVENT ts=1000 agent=1 pid=7 exe=\"/bin/a\" op=read obj=file\n"
+      "EVENT ts=1000 agent=1 pid=8 exe=\"/bin/b\" op=start obj=proc tpid=9\n"
+      "EVENT ts=1000 agent=1 pid=9 exe=\"/bin/c\" op=connect obj=ip dport=53\n");
+  EXPECT_EQ(report.records_ingested, 0u);
+  EXPECT_EQ(report.errors.size(), 3u);
+  EXPECT_EQ(db.num_events(), 0u);
+  EXPECT_EQ(db.catalog().processes().size(), 0u);
+}
+
 // The clock-skew correction is overflow-checked and must land in range.
 TEST(AuditLogTest, SkewCorrectionIsRangeChecked) {
   ClockSkewCorrector skew;
