@@ -312,7 +312,7 @@ void BM_Join(benchmark::State& state) {
   }
   for (auto _ : state) {
     BudgetGuard guard;
-    TupleJoiner joiner(db->catalog(), &guard, JoinStrategy{});
+    TupleJoiner joiner(db->catalog(), &guard, /*nested_loop=*/false);
     auto out = joiner.Join(lt, rt, {rel});
     benchmark::DoNotOptimize(out.ok());
   }

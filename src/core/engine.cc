@@ -96,15 +96,10 @@ Result<ResultTable> AiqlEngine::ExecuteContext(const QueryContext& ctx,
   }
   session->stats = ExecStats{};
 
-  ExecOptions exec;
-  exec.scheduler = options_.scheduler;
-  exec.pushdown = options_.pushdown;
-  exec.ordering = options_.ordering;
-  exec.parallelism = options_.parallelism;
-  exec.storage_parallel = options_.storage_parallel;
-  exec.time_budget_ms = session->time_budget_ms > 0 ? session->time_budget_ms
-                                                    : options_.time_budget_ms;
-  exec.max_join_work = options_.max_join_work;
+  ExecOptions exec = options_;
+  if (session->time_budget_ms > 0) {
+    exec.time_budget_ms = session->time_budget_ms;
+  }
 
   Result<ResultTable> out = [&]() -> Result<ResultTable> {
     if (ctx.kind == ast::QueryKind::kAnomaly) {

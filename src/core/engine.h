@@ -42,25 +42,6 @@
 
 namespace aiql {
 
-struct EngineOptions {
-  SchedulerKind scheduler = SchedulerKind::kRelationship;
-  // Total threads participating in parallel data-query execution (morsel
-  // workers for stores that scan in parallel, day-split workers otherwise).
-  // 0 = auto-size from std::thread::hardware_concurrency() at engine
-  // construction; 1 = strictly sequential. The resolved value is readable
-  // via options().parallelism.
-  size_t parallelism = 0;
-  // Ablation knobs (relationship scheduler only).
-  bool pushdown = true;
-  bool ordering = true;
-  // Ablation knob: force the legacy day-split fan-out instead of the
-  // storage-level morsel scan.
-  bool storage_parallel = true;
-  // Execution budget; 0 = unlimited.
-  int64_t time_budget_ms = 0;
-  size_t max_join_work = 0;
-};
-
 class AiqlEngine {
  public:
   explicit AiqlEngine(const EventStore* db, EngineOptions options = {});

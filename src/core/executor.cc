@@ -1,8 +1,7 @@
 #include "src/core/executor.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <unordered_set>
 
 namespace aiql {
@@ -106,33 +105,21 @@ int PatternTypeRank(const QueryContext& ctx, size_t pattern) {
 
 std::vector<Relationship> SortedRelationships(const QueryContext& ctx,
                                               std::vector<Relationship> rels) {
-  std::vector<size_t> scores(ctx.patterns.size());
-  for (size_t i = 0; i < ctx.patterns.size(); ++i) {
-    scores[i] = ctx.patterns[i].PruningScore();
+  auto rank = [&](const Relationship& r) {
+    return PatternTypeRank(ctx, r.left()) + PatternTypeRank(ctx, r.right());
+  };
+  std::vector<size_t> scores;
+  for (const PatternContext& p : ctx.patterns) {
+    scores.push_back(p.PruningScore());
   }
-  std::vector<size_t> order(rels.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = PatternTypeRank(ctx, rels[a].left()) + PatternTypeRank(ctx, rels[a].right());
-    int rb = PatternTypeRank(ctx, rels[b].left()) + PatternTypeRank(ctx, rels[b].right());
-    if (ra != rb) {
-      return ra < rb;
+  auto score = [&](const Relationship& r) { return scores[r.left()] + scores[r.right()]; };
+  std::stable_sort(rels.begin(), rels.end(), [&](const Relationship& a, const Relationship& b) {
+    if (rank(a) != rank(b)) {
+      return rank(a) < rank(b);
     }
-    size_t sa = scores[rels[a].left()] + scores[rels[a].right()];
-    size_t sb = scores[rels[b].left()] + scores[rels[b].right()];
-    if (sa != sb) {
-      return sa > sb;
-    }
-    return a < b;
+    return score(a) > score(b);
   });
-  std::vector<Relationship> out;
-  out.reserve(rels.size());
-  for (size_t i : order) {
-    out.push_back(rels[i]);
-  }
-  return out;
+  return rels;
 }
 
 class MultieventExecutor {
@@ -155,33 +142,33 @@ class MultieventExecutor {
                   .pins = &session->pins},
         // The join budget shares the run's one deadline with the scans.
         budget_(scan_ctx_.deadline, options.max_join_work, &session->cancelled),
-        joiner_(db.catalog(), &budget_,
-                JoinStrategy{
-                    .hash_equality = options.scheduler != SchedulerKind::kBigJoin,
-                    .temporal_index = options.scheduler != SchedulerKind::kBigJoin}) {
+        joiner_(db.catalog(), &budget_, options.scheduler == SchedulerKind::kBigJoin) {
     stats_->pattern_matches.assign(ctx.patterns.size(), 0);
   }
 
   Result<TupleSet> Run() {
-    Result<TupleSet> result = options_.scheduler == SchedulerKind::kBigJoin
-                                  ? RunBigJoin()
-                                  : RunRelationshipLoop();
+    Status s = RunLoop();
     stats_->join_work = budget_.rows_produced();
     // The per-loop checks run BEFORE each fetch; a cancel or deadline firing
     // during the final scan stops that scan mid-plan with no later check to
     // notice. ShouldStop true here means the matches may be truncated, so
     // the run must fail rather than pass them off as the answer.
-    if (result.ok()) {
-      if (Status s = CheckStop(); !s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      stats_->final_tuples = result.value().num_rows();
+    if (s.ok()) {
+      s = CheckStop();
     }
-    return result;
+    if (!s.ok()) {
+      return Result<TupleSet>(s);
+    }
+    TupleSet& result = sets_[slot_[0]];
+    stats_->final_tuples = result.num_rows();
+    return std::move(result);
   }
 
  private:
+  static constexpr size_t kUnfetched = SIZE_MAX;
+
   size_t Score(size_t pattern) const { return ctx_.patterns[pattern].PruningScore(); }
+  bool Fetched(size_t pattern) const { return slot_[pattern] != kUnfetched; }
 
   // Cancellation / scan-deadline check between execution steps. A stopped
   // storage scan returns a partial result, so the run must fail rather than
@@ -196,30 +183,133 @@ class MultieventExecutor {
     return Status::Ok();
   }
 
-  // Executes the data query of `pattern`, optionally constrained by the
-  // already-known bindings of the relationship's other endpoint.
-  void ExecutePattern(size_t pattern, const Relationship* rel, const TupleSet* known) {
-    DataQuery q = ctx_.patterns[pattern].query;
-    if (options_.pushdown && options_.scheduler == SchedulerKind::kRelationship &&
-        rel != nullptr && known != nullptr) {
-      InjectPushdown(&q, *rel, pattern, *known);
+  // Algorithm 1 over the map M (slot_ / sets_). Fetch-and-filter and
+  // big-join run every data query up front. The relationship walk (all but
+  // big-join) fetches each relationship's unfetched endpoints, the second
+  // one constrained by the first's tuple set, and joins the two sets on
+  // that relationship and every other one between them. Every scheduler
+  // ends by folding the remaining sets into pattern 0's, left to right: the
+  // cross products of the paper's step 5, and big-join's whole left-deep
+  // join in written pattern order.
+  Status RunLoop() {
+    const size_t n = ctx_.patterns.size();
+    slot_.assign(n, kUnfetched);
+    sets_.assign(n, TupleSet());
+    rels_ = InterPatternRelationships(ctx_);
+    applied_.assign(rels_.size(), false);
+    const bool relationship = options_.scheduler == SchedulerKind::kRelationship;
+    if (relationship && options_.ordering) {
+      rels_ = SortedRelationships(ctx_, std::move(rels_));
     }
-    matches_[pattern] = FetchDataQuery(db_, q, options_, pool_, session_, &scan_ctx_);
-    ApplyIntraRels(ctx_, pattern, &matches_[pattern], db_.catalog());
-    executed_[pattern] = true;
-    stats_->pattern_matches[pattern] = matches_[pattern].size();
+    if (!relationship) {
+      if (Status s = FetchUnfetched(); !s.ok()) {
+        return s;
+      }
+    }
+    if (options_.scheduler != SchedulerKind::kBigJoin) {
+      for (size_t k = 0; k < rels_.size(); ++k) {
+        if (applied_[k]) {
+          continue;  // both endpoints already share a set
+        }
+        if (Status s = CheckStop(); !s.ok()) {
+          return s;
+        }
+        // The left side of the join is the endpoint fetched first: the
+        // higher pruning score when neither is fetched yet.
+        size_t l = rels_[k].left();
+        size_t r = rels_[k].right();
+        if (!Fetched(l) && !Fetched(r)) {
+          if (Score(r) > Score(l)) {
+            std::swap(l, r);
+          }
+          Fetch(l, nullptr);
+        } else if (!Fetched(l)) {
+          std::swap(l, r);
+        }
+        if (!Fetched(r)) {
+          Fetch(r, &rels_[k]);
+        }
+        if (Status s = JoinSets(l, r, k); !s.ok()) {
+          return s;
+        }
+      }
+    }
+    // Patterns no relationship touched.
+    if (Status s = FetchUnfetched(); !s.ok()) {
+      return s;
+    }
+    for (size_t i = 1; i < n; ++i) {
+      if (slot_[i] != slot_[0]) {
+        if (Status s = JoinSets(0, i, std::nullopt); !s.ok()) {
+          return s;
+        }
+      }
+    }
+    return Status::Ok();
+  }
+
+  Status FetchUnfetched() {
+    for (size_t i = 0; i < ctx_.patterns.size(); ++i) {
+      if (!Fetched(i)) {
+        if (Status s = CheckStop(); !s.ok()) {
+          return s;
+        }
+        Fetch(i, nullptr);
+      }
+    }
+    return Status::Ok();
+  }
+
+  // Executes the data query of `pattern` and binds its matches as the
+  // pattern's one-column set. With `rel`, the query is constrained by the
+  // set binding rel's other endpoint.
+  void Fetch(size_t pattern, const Relationship* rel) {
+    DataQuery q = ctx_.patterns[pattern].query;
+    if (options_.pushdown && rel != nullptr) {
+      InjectPushdown(&q, *rel, pattern);
+    }
+    std::vector<EventView> matches = FetchDataQuery(db_, q, options_, pool_, session_, &scan_ctx_);
+    ApplyIntraRels(ctx_, pattern, &matches, db_.catalog());
+    stats_->pattern_matches[pattern] = matches.size();
+    slot_[pattern] = pattern;
+    sets_[pattern] = TupleSet::FromMatches(pattern, std::move(matches));
+  }
+
+  // Joins the set binding `a` (left) with the set binding `b` (right) on
+  // rels_[driver], if given, then on every other relationship between the
+  // two sets not applied yet; the joined set replaces both in M. So no set
+  // ever holds an unapplied relationship between two of its patterns.
+  Status JoinSets(size_t a, size_t b, std::optional<size_t> driver) {
+    const size_t sa = slot_[a];
+    const size_t sb = slot_[b];
+    std::vector<Relationship> on;
+    for (size_t k = 0; k < rels_.size(); ++k) {
+      const size_t l = slot_[rels_[k].left()];
+      const size_t r = slot_[rels_[k].right()];
+      if (!applied_[k] && ((l == sa && r == sb) || (l == sb && r == sa))) {
+        on.insert(k == driver ? on.begin() : on.end(), rels_[k]);
+        applied_[k] = true;
+      }
+    }
+    Result<TupleSet> joined = joiner_.Join(sets_[sa], sets_[sb], on);
+    if (!joined.ok()) {
+      return joined.status();
+    }
+    for (size_t p : sets_[sb].patterns()) {
+      slot_[p] = sa;
+    }
+    sets_[sa] = joined.take();
+    sets_[sb] = TupleSet();
+    return Status::Ok();
   }
 
   // Constrained execution: derive candidate values / time bounds for
-  // `target` from the known side of `rel` (paper Algorithm 1: "S_j <-
-  // execute_{S_i} q_j").
-  void InjectPushdown(DataQuery* q, const Relationship& rel, size_t target,
-                      const TupleSet& known) {
-    size_t source = rel.left() == target ? rel.right() : rel.left();
-    int source_col = known.ColumnOf(source);
-    if (source_col < 0) {
-      return;
-    }
+  // `target` from the set binding the other endpoint of `rel` (paper
+  // Algorithm 1: "S_j <- execute_{S_i} q_j").
+  void InjectPushdown(DataQuery* q, const Relationship& rel, size_t target) {
+    const size_t source = rel.left() == target ? rel.right() : rel.left();
+    const TupleSet& known = sets_[slot_[source]];
+    const int source_col = known.ColumnOf(source);
     const EntityCatalog& catalog = db_.catalog();
 
     if (rel.kind == Relationship::Kind::kAttr && rel.attr.IsEquiJoin()) {
@@ -230,8 +320,8 @@ class MultieventExecutor {
       Attr source_attr = target_is_left ? rel.attr.right_attr : rel.attr.left_attr;
 
       std::unordered_set<Value, ValueHash> distinct;
-      for (const auto& row : known.rows()) {
-        distinct.insert(EndpointValue(row[source_col], source_side, source_attr, catalog));
+      for (size_t r = 0; r < known.num_rows(); ++r) {
+        distinct.insert(EndpointValue(known.row(r)[source_col], source_side, source_attr, catalog));
         if (distinct.size() > kPushdownValueLimit) {
           return;  // candidate set too large to help
         }
@@ -257,8 +347,8 @@ class MultieventExecutor {
 
     if (rel.kind == Relationship::Kind::kTemp) {
       TimestampMs tmin = INT64_MAX, tmax = INT64_MIN;
-      for (const auto& row : known.rows()) {
-        TimestampMs t = row[source_col].start_time();
+      for (size_t r = 0; r < known.num_rows(); ++r) {
+        TimestampMs t = known.row(r)[source_col].start_time();
         tmin = std::min(tmin, t);
         tmax = std::max(tmax, t);
       }
@@ -273,182 +363,6 @@ class MultieventExecutor {
     }
   }
 
-  void ReplaceVals(const std::shared_ptr<TupleSet>& old_set,
-                   const std::shared_ptr<TupleSet>& new_set) {
-    for (auto& m : m_) {
-      if (m == old_set) {
-        m = new_set;
-      }
-    }
-  }
-
-  Result<TupleSet> RunRelationshipLoop() {
-    const size_t n = ctx_.patterns.size();
-    matches_.assign(n, {});
-    executed_.assign(n, false);
-    m_.assign(n, nullptr);
-
-    std::vector<Relationship> rels = InterPatternRelationships(ctx_);
-    if (options_.ordering && options_.scheduler == SchedulerKind::kRelationship) {
-      rels = SortedRelationships(ctx_, std::move(rels));
-    }
-
-    // Fetch-and-filter executes every data query up front (paper §5.2).
-    if (options_.scheduler == SchedulerKind::kFetchFilter) {
-      for (size_t i = 0; i < n; ++i) {
-        if (Status s = CheckStop(); !s.ok()) {
-          return Result<TupleSet>(s);
-        }
-        ExecutePattern(i, nullptr, nullptr);
-      }
-    }
-
-    for (const Relationship& rel : rels) {
-      if (Status s = CheckStop(); !s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      size_t a = rel.left();
-      size_t b = rel.right();
-      std::vector<Relationship> rel_vec{rel};
-      if (!executed_[a] && !executed_[b]) {
-        size_t first = Score(a) >= Score(b) ? a : b;
-        size_t second = first == a ? b : a;
-        ExecutePattern(first, nullptr, nullptr);
-        TupleSet sf = TupleSet::FromMatches(first, matches_[first]);
-        ExecutePattern(second, &rel, &sf);
-        TupleSet ss = TupleSet::FromMatches(second, matches_[second]);
-        Result<TupleSet> joined = joiner_.Join(sf, ss, rel_vec);
-        if (!joined.ok()) {
-          return joined;
-        }
-        auto t = std::make_shared<TupleSet>(joined.take());
-        m_[a] = t;
-        m_[b] = t;
-      } else if (executed_[a] != executed_[b]) {
-        size_t e = executed_[a] ? a : b;
-        size_t u = e == a ? b : a;
-        std::shared_ptr<TupleSet> te = m_[e];
-        TupleSet raw;
-        const TupleSet* known = te.get();
-        if (known == nullptr) {
-          raw = TupleSet::FromMatches(e, matches_[e]);
-          known = &raw;
-        }
-        ExecutePattern(u, &rel, known);
-        TupleSet su = TupleSet::FromMatches(u, matches_[u]);
-        Result<TupleSet> joined = joiner_.Join(*known, su, rel_vec);
-        if (!joined.ok()) {
-          return joined;
-        }
-        auto t = std::make_shared<TupleSet>(joined.take());
-        if (te != nullptr) {
-          ReplaceVals(te, t);
-        }
-        m_[e] = t;
-        m_[u] = t;
-      } else {
-        std::shared_ptr<TupleSet> ta = m_[a];
-        std::shared_ptr<TupleSet> tb = m_[b];
-        if (ta == tb && ta != nullptr) {
-          ta->Filter(rel, db_.catalog());
-        } else {
-          TupleSet raw_a, raw_b;
-          const TupleSet* left = ta.get();
-          const TupleSet* right = tb.get();
-          if (left == nullptr) {
-            raw_a = TupleSet::FromMatches(a, matches_[a]);
-            left = &raw_a;
-          }
-          if (right == nullptr) {
-            raw_b = TupleSet::FromMatches(b, matches_[b]);
-            right = &raw_b;
-          }
-          Result<TupleSet> joined = joiner_.Join(*left, *right, rel_vec);
-          if (!joined.ok()) {
-            return joined;
-          }
-          auto t = std::make_shared<TupleSet>(joined.take());
-          if (ta != nullptr) {
-            ReplaceVals(ta, t);
-          }
-          if (tb != nullptr) {
-            ReplaceVals(tb, t);
-          }
-          m_[a] = t;
-          m_[b] = t;
-        }
-      }
-    }
-
-    // Step 4: patterns untouched by any relationship.
-    for (size_t i = 0; i < n; ++i) {
-      if (!executed_[i]) {
-        if (Status s = CheckStop(); !s.ok()) {
-          return Result<TupleSet>(s);
-        }
-        ExecutePattern(i, nullptr, nullptr);
-      }
-      if (m_[i] == nullptr) {
-        m_[i] = std::make_shared<TupleSet>(TupleSet::FromMatches(i, matches_[i]));
-      }
-    }
-
-    // Step 5: merge remaining disjoint tuple sets (cross products).
-    for (;;) {
-      std::shared_ptr<TupleSet> first = m_[0];
-      std::shared_ptr<TupleSet> other = nullptr;
-      for (size_t i = 1; i < n; ++i) {
-        if (m_[i] != first) {
-          other = m_[i];
-          break;
-        }
-      }
-      if (other == nullptr) {
-        break;
-      }
-      Result<TupleSet> joined = joiner_.Join(*first, *other, {});
-      if (!joined.ok()) {
-        return joined;
-      }
-      auto t = std::make_shared<TupleSet>(joined.take());
-      ReplaceVals(first, t);
-      ReplaceVals(other, t);
-    }
-    return *m_[0];
-  }
-
-  // "PostgreSQL scheduling": monolithic left-deep join in written order.
-  Result<TupleSet> RunBigJoin() {
-    const size_t n = ctx_.patterns.size();
-    matches_.assign(n, {});
-    executed_.assign(n, false);
-    for (size_t i = 0; i < n; ++i) {
-      if (Status s = CheckStop(); !s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      ExecutePattern(i, nullptr, nullptr);
-    }
-    std::vector<Relationship> rels = InterPatternRelationships(ctx_);
-    TupleSet t = TupleSet::FromMatches(0, matches_[0]);
-    for (size_t i = 1; i < n; ++i) {
-      std::vector<Relationship> applicable;
-      for (const Relationship& rel : rels) {
-        bool touches_i = rel.left() == i || rel.right() == i;
-        size_t other = rel.left() == i ? rel.right() : rel.left();
-        if (touches_i && other < i) {
-          applicable.push_back(rel);
-        }
-      }
-      Result<TupleSet> joined = joiner_.Join(t, TupleSet::FromMatches(i, matches_[i]),
-                                             applicable);
-      if (!joined.ok()) {
-        return joined;
-      }
-      t = joined.take();
-    }
-    return t;
-  }
-
   const EventStore& db_;
   const QueryContext& ctx_;
   const ExecOptions& options_;
@@ -459,9 +373,13 @@ class MultieventExecutor {
   BudgetGuard budget_;
   TupleJoiner joiner_;
 
-  std::vector<std::vector<EventView>> matches_;
-  std::vector<bool> executed_;
-  std::vector<std::shared_ptr<TupleSet>> m_;
+  // Algorithm 1's map M: pattern p is bound by sets_[slot_[p]] (kUnfetched
+  // until its data query runs). A fetched pattern's slot starts as its own
+  // one-column set; a join keeps the left set's slot and empties the right's.
+  std::vector<size_t> slot_;
+  std::vector<TupleSet> sets_;
+  std::vector<Relationship> rels_;  // in scheduling order
+  std::vector<bool> applied_;       // rels_[k] already holds in its set
 };
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Multievent query executors (paper §5).
 //
-// Three scheduling strategies are implemented over the same storage and join
-// machinery, matching the paper's evaluation configurations:
+// One Algorithm 1 loop serves the three scheduling strategies of the paper's
+// evaluation, over the same storage and join machinery:
 //
 //   kRelationship  — Algorithm 1: pruning-score prioritization, sorted
 //                    relationships, constrained ("pushed down") execution of
 //                    dependent data queries, tuple-set map M. (AIQL)
 //   kFetchFilter   — execute every data query independently up front, then
-//                    filter by relationships. (AIQL FF baseline, §5.2)
-//   kBigJoin       — the "PostgreSQL scheduling" model: one monolithic join
-//                    in written pattern order with no cross-pattern
-//                    constraint propagation; temporal relationships join by
-//                    nested loop. (§6.2.2/§6.3.2 baseline)
+//                    apply the relationships in written order. (AIQL FF
+//                    baseline, §5.2)
+//   kBigJoin       — the "PostgreSQL scheduling" model: every data query up
+//                    front, then one left-deep join in written pattern order
+//                    with no cross-pattern constraint propagation, by nested
+//                    loop throughout. (§6.2.2/§6.3.2 baseline)
+//
+// Each join merges two tuple sets on every relationship between them that
+// no earlier join applied, so a relationship is checked once, inside the
+// join that first brings its two patterns together.
 #ifndef AIQL_SRC_CORE_EXECUTOR_H_
 #define AIQL_SRC_CORE_EXECUTOR_H_
 
@@ -34,28 +39,30 @@ enum class SchedulerKind : uint8_t {
 
 const char* SchedulerKindName(SchedulerKind k);
 
-struct ExecOptions {
+// Engine and executor options (one struct; AiqlEngine resolves parallelism
+// 0 before the executors see it).
+struct EngineOptions {
   SchedulerKind scheduler = SchedulerKind::kRelationship;
-
-  // Ablation knobs for the relationship scheduler.
+  // Total threads participating in parallel data-query execution. Stores
+  // that scan in parallel internally (Database, MppCluster) receive the pool
+  // directly and fan out per partition (morsel-driven); for other stores the
+  // executor falls back to splitting multi-day queries per day (paper §5.2
+  // "Time Window Partition"). 0 = auto-size from
+  // std::thread::hardware_concurrency() at engine construction; 1 = strictly
+  // sequential. The resolved value is readable via AiqlEngine::options().
+  size_t parallelism = 0;
+  // Ablation knobs (relationship scheduler only).
   bool pushdown = true;  // constrained execution of dependent data queries
   bool ordering = true;  // pruning-score relationship ordering
-
-  // Parallel data-query fetch. Stores that scan in parallel internally
-  // (Database, MppCluster) receive the pool directly and fan out per
-  // partition (morsel-driven); for other stores the executor falls back to
-  // splitting multi-day queries per day (paper §5.2 "Time Window
-  // Partition"). Requires a thread pool; 1 disables both.
-  size_t parallelism = 1;
   // Ablation knob: force the coarse day-split fallback even for stores with
   // internal parallelism.
   bool storage_parallel = true;
-
   // Execution budget; 0 = unlimited. Work units are intermediate join rows
   // (hash/temporal joins) or comparisons (nested loops).
   int64_t time_budget_ms = 0;
   size_t max_join_work = 0;
 };
+using ExecOptions = EngineOptions;
 
 // Executes the multievent part of a query context, producing the final tuple
 // set over all patterns. Fails on budget exhaustion, cancellation (via the

@@ -83,7 +83,6 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
                                    const EntityCatalog& catalog,
                                    const ExecutionSession* session) {
   const std::vector<int> pattern_cols = PatternColumns(tuples.patterns());
-  const std::vector<std::vector<EventView>>& rows = tuples.rows();
 
   bool aggregated = !ctx.group_by.empty();
   for (const OutputItem& item : ctx.items) {
@@ -121,10 +120,11 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
       }
       return out;
     };
-    for (const auto& row : rows) {
+    for (size_t r = 0; r < tuples.num_rows(); ++r) {
       if (Cancelled(session)) {
         return cancelled();
       }
+      const std::span<const EventView> row = tuples.row(r);
       for (size_t i = 0; i < items.size(); ++i) {
         ids[i] = items[i].IdOf(row);
       }
@@ -140,11 +140,11 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
       }
     }
   } else if (!aggregated) {
-    for (const auto& row : rows) {
+    for (size_t r = 0; r < tuples.num_rows(); ++r) {
       if (Cancelled(session)) {
         return cancelled();
       }
-      RowAccessor acc(row, pattern_cols, catalog);
+      RowAccessor acc(tuples.row(r), pattern_cols, catalog);
       std::vector<Value> out_row;
       out_row.reserve(ctx.items.size());
       for (const OutputItem& item : ctx.items) {
@@ -159,8 +159,8 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
     // the aggregates of each group in key-string order.
     GroupIndex index(ctx.group_by, pattern_cols, catalog);
     std::vector<std::vector<uint32_t>> members;
-    for (size_t r = 0; r < rows.size(); ++r) {
-      uint32_t g = index.GroupOf(rows[r]);
+    for (size_t r = 0; r < tuples.num_rows(); ++r) {
+      uint32_t g = index.GroupOf(tuples.row(r));
       if (g == members.size()) {
         members.emplace_back();
       }
@@ -185,14 +185,14 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
       }
       aggregates.Reset();
       for (uint32_t r : members[g]) {
-        aggregates.Add(RowAccessor(rows[r], pattern_cols, catalog));
+        aggregates.Add(RowAccessor(tuples.row(r), pattern_cols, catalog));
       }
       env.Clear();
       aggregates.Publish(&env);
       // The group's first row gives the values of group keys and plain refs.
       std::optional<RowAccessor> rep;
       if (!members[g].empty()) {
-        rep.emplace(rows[members[g].front()], pattern_cols, catalog);
+        rep.emplace(tuples.row(members[g].front()), pattern_cols, catalog);
       }
       const RowAccessor* acc = rep.has_value() ? &*rep : nullptr;
       std::vector<Value> out_row;

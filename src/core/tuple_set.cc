@@ -24,16 +24,6 @@ Status BudgetGuard::Charge(size_t produced) {
   return Status::Ok();
 }
 
-TupleSet TupleSet::FromMatches(size_t pattern, std::vector<EventView> matches) {
-  TupleSet t;
-  t.patterns_.push_back(pattern);
-  t.rows_.reserve(matches.size());
-  for (const EventView& e : matches) {
-    t.rows_.push_back({e});
-  }
-  return t;
-}
-
 int TupleSet::ColumnOf(size_t pattern) const {
   for (size_t i = 0; i < patterns_.size(); ++i) {
     if (patterns_[i] == pattern) {
@@ -43,210 +33,129 @@ int TupleSet::ColumnOf(size_t pattern) const {
   return -1;
 }
 
-void TupleSet::Filter(const Relationship& rel, const EntityCatalog& catalog) {
-  int lcol = ColumnOf(rel.left());
-  int rcol = ColumnOf(rel.right());
-  if (lcol < 0 || rcol < 0) {
-    return;
-  }
-  size_t w = 0;
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (rel.Check(rows_[r][lcol], rows_[r][rcol], catalog)) {
-      if (w != r) {
-        rows_[w] = std::move(rows_[r]);
-      }
-      ++w;
-    }
-  }
-  rows_.resize(w);
-}
-
 namespace {
 
-std::vector<EventView> ConcatRows(const std::vector<EventView>& a,
-                                  const std::vector<EventView>& b) {
-  std::vector<EventView> out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
+// One relationship of a join with its columns resolved once: `lcol` is the
+// column of its endpoint bound by the left set, `rcol` that of the other
+// endpoint in the right set; `flipped` when the left set binds the
+// relationship's right pattern.
+struct BoundRel {
+  const Relationship* rel;
+  int lcol;
+  int rcol;
+  bool flipped;
+
+  bool Check(std::span<const EventView> lrow, std::span<const EventView> rrow,
+             const EntityCatalog& catalog) const {
+    return flipped ? rel->Check(rrow[rcol], lrow[lcol], catalog)
+                   : rel->Check(lrow[lcol], rrow[rcol], catalog);
+  }
+};
 
 }  // namespace
 
-bool TupleJoiner::RowPairSatisfies(const std::vector<Relationship>& rels, const TupleSet& left,
-                                   const TupleSet& right, const std::vector<EventView>& lrow,
-                                   const std::vector<EventView>& rrow) const {
-  for (const Relationship& rel : rels) {
-    int lc = left.ColumnOf(rel.left());
-    const EventView& le = lc >= 0 ? lrow[lc] : rrow[right.ColumnOf(rel.left())];
-    int rc = left.ColumnOf(rel.right());
-    const EventView& re = rc >= 0 ? lrow[rc] : rrow[right.ColumnOf(rel.right())];
-    if (!rel.Check(le, re, catalog_)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Result<TupleSet> TupleJoiner::Join(const TupleSet& left, const TupleSet& right,
                                    const std::vector<Relationship>& rels) {
-  // Pick the cheapest driving relationship available under the strategy.
-  int eq_idx = -1;
-  int temp_idx = -1;
-  for (size_t i = 0; i < rels.size(); ++i) {
-    if (rels[i].kind == Relationship::Kind::kAttr && rels[i].attr.IsEquiJoin() && eq_idx < 0) {
-      eq_idx = static_cast<int>(i);
-    }
-    if (rels[i].kind == Relationship::Kind::kTemp && temp_idx < 0) {
-      temp_idx = static_cast<int>(i);
-    }
+  std::vector<BoundRel> bound;
+  bound.reserve(rels.size());
+  for (const Relationship& rel : rels) {
+    const bool flipped = !left.Binds(rel.left());
+    bound.push_back({&rel, left.ColumnOf(flipped ? rel.right() : rel.left()),
+                     right.ColumnOf(flipped ? rel.left() : rel.right()), flipped});
   }
-  if (eq_idx >= 0 && strategy_.hash_equality) {
-    std::vector<Relationship> rest;
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (static_cast<int>(i) != eq_idx) {
-        rest.push_back(rels[i]);
+  std::vector<size_t> patterns = left.patterns();
+  patterns.insert(patterns.end(), right.patterns().begin(), right.patterns().end());
+  std::vector<EventView> cells;
+  // Appends the pair (lrow, right row j) if it passes bound[first..].
+  auto emit = [&](std::span<const EventView> lrow, size_t j, size_t first) {
+    std::span<const EventView> rrow = right.row(j);
+    for (size_t k = first; k < bound.size(); ++k) {
+      if (!bound[k].Check(lrow, rrow, catalog_)) {
+        return false;
       }
     }
-    return HashJoin(left, right, rels[eq_idx], rest);
-  }
-  if (temp_idx >= 0 && strategy_.temporal_index) {
-    std::vector<Relationship> rest;
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (static_cast<int>(i) != temp_idx) {
-        rest.push_back(rels[i]);
+    cells.insert(cells.end(), lrow.begin(), lrow.end());
+    cells.insert(cells.end(), rrow.begin(), rrow.end());
+    return true;
+  };
+
+  const Relationship* driver = rels.empty() ? nullptr : &rels[0];
+  const bool hash = driver != nullptr && driver->kind == Relationship::Kind::kAttr &&
+                    driver->attr.IsEquiJoin();
+  const bool temporal = driver != nullptr && driver->kind == Relationship::Kind::kTemp;
+
+  if (nested_loop_ || !(hash || temporal)) {
+    for (size_t i = 0; i < left.num_rows(); ++i) {
+      for (size_t j = 0; j < right.num_rows(); ++j) {
+        if (Status s = budget_->Charge(1); !s.ok()) {
+          return Result<TupleSet>(s);
+        }
+        emit(left.row(i), j, 0);
       }
     }
-    return TemporalJoin(left, right, rels[temp_idx], rest);
-  }
-  return NestedLoopJoin(left, right, rels);
-}
-
-Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& right,
-                                       const Relationship& eq_rel,
-                                       const std::vector<Relationship>& rest) {
-  const AttrRelation& rel = eq_rel.attr;
-  // Orient: which side of the relationship lives in `left`?
-  bool left_has_lhs = left.ColumnOf(rel.left_pattern) >= 0;
-  size_t lpat = left_has_lhs ? rel.left_pattern : rel.right_pattern;
-  size_t rpat = left_has_lhs ? rel.right_pattern : rel.left_pattern;
-  RefSide lside = left_has_lhs ? rel.left_side : rel.right_side;
-  RefSide rside = left_has_lhs ? rel.right_side : rel.left_side;
-  Attr lattr = left_has_lhs ? rel.left_attr : rel.right_attr;
-  Attr rattr = left_has_lhs ? rel.right_attr : rel.left_attr;
-  int lcol = left.ColumnOf(lpat);
-  int rcol = right.ColumnOf(rpat);
-
-  // Build on the right side, probe in left-row order for determinism.
-  std::unordered_map<size_t, std::vector<size_t>> buckets;
-  buckets.reserve(right.rows().size() * 2);
-  for (size_t j = 0; j < right.rows().size(); ++j) {
-    Value v = EndpointValue(right.rows()[j][rcol], rside, rattr, catalog_);
-    buckets[v.Hash()].push_back(j);
-  }
-
-  TupleSet out;
-  out.patterns_ = left.patterns();
-  out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
-  for (const auto& lrow : left.rows()) {
-    Value lv = EndpointValue(lrow[lcol], lside, lattr, catalog_);
-    auto it = buckets.find(lv.Hash());
-    if (it == buckets.end()) {
-      continue;
+  } else if (hash) {
+    const BoundRel& d = bound[0];
+    const AttrRelation& rel = driver->attr;
+    const RefSide lside = d.flipped ? rel.right_side : rel.left_side;
+    const Attr lattr = d.flipped ? rel.right_attr : rel.left_attr;
+    const RefSide rside = d.flipped ? rel.left_side : rel.right_side;
+    const Attr rattr = d.flipped ? rel.left_attr : rel.right_attr;
+    // Build on the right side, probe in left-row order.
+    std::vector<Value> keys;
+    keys.reserve(right.num_rows());
+    std::unordered_map<size_t, std::vector<size_t>> buckets;
+    buckets.reserve(right.num_rows() * 2);
+    for (size_t j = 0; j < right.num_rows(); ++j) {
+      keys.push_back(EndpointValue(right.row(j)[d.rcol], rside, rattr, catalog_));
+      buckets[keys.back().Hash()].push_back(j);
     }
-    for (size_t j : it->second) {
-      const auto& rrow = right.rows()[j];
-      Value rv = EndpointValue(rrow[rcol], rside, rattr, catalog_);
-      if (!(lv == rv)) {
-        continue;  // hash collision
-      }
-      if (!rest.empty() && !RowPairSatisfies(rest, left, right, lrow, rrow)) {
+    for (size_t i = 0; i < left.num_rows(); ++i) {
+      std::span<const EventView> lrow = left.row(i);
+      const Value lv = EndpointValue(lrow[d.lcol], lside, lattr, catalog_);
+      auto it = buckets.find(lv.Hash());
+      if (it == buckets.end()) {
         continue;
       }
-      Status s = budget_->Charge(1);
-      if (!s.ok()) {
-        return Result<TupleSet>(s);
+      for (size_t j : it->second) {
+        if (lv == keys[j] && emit(lrow, j, 1)) {
+          if (Status s = budget_->Charge(1); !s.ok()) {
+            return Result<TupleSet>(s);
+          }
+        }
       }
-      out.rows_.push_back(ConcatRows(lrow, rrow));
+    }
+  } else {
+    const BoundRel& d = bound[0];
+    // Sort right rows by the joined pattern's start time; per left row,
+    // binary search the admissible window, then check rels[0] exactly
+    // (a `within` lower bound, for one).
+    std::vector<size_t> order(right.num_rows());
+    for (size_t j = 0; j < order.size(); ++j) {
+      order[j] = j;
+    }
+    auto time_of = [&](size_t j) { return right.row(j)[d.rcol].start_time(); };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return time_of(a) < time_of(b); });
+    std::vector<TimestampMs> times(order.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+      times[k] = time_of(order[k]);
+    }
+    for (size_t i = 0; i < left.num_rows(); ++i) {
+      std::span<const EventView> lrow = left.row(i);
+      const TimestampMs lt = lrow[d.lcol].start_time();
+      const TimeRange window = TempRelBounds(driver->temp, !d.flipped, lt, lt);
+      auto first = std::lower_bound(times.begin(), times.end(), window.begin);
+      auto last = std::lower_bound(times.begin(), times.end(), window.end);
+      for (auto it = first; it != last; ++it) {
+        if (emit(lrow, order[static_cast<size_t>(it - times.begin())], 0)) {
+          if (Status s = budget_->Charge(1); !s.ok()) {
+            return Result<TupleSet>(s);
+          }
+        }
+      }
     }
   }
-  return out;
-}
-
-Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet& right,
-                                           const Relationship& temp_rel,
-                                           const std::vector<Relationship>& rest) {
-  const TempRelation& rel = temp_rel.temp;
-  bool left_has_lhs = left.ColumnOf(rel.left_pattern) >= 0;
-  int lcol = left.ColumnOf(left_has_lhs ? rel.left_pattern : rel.right_pattern);
-  int rcol = right.ColumnOf(left_has_lhs ? rel.right_pattern : rel.left_pattern);
-
-  // Sort right rows by the joined pattern's start time; per left row, binary
-  // search the admissible window.
-  std::vector<size_t> order(right.rows().size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return right.rows()[a][rcol].start_time() < right.rows()[b][rcol].start_time();
-  });
-  std::vector<TimestampMs> times(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    times[i] = right.rows()[order[i]][rcol].start_time();
-  }
-
-  TupleSet out;
-  out.patterns_ = left.patterns();
-  out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
-  for (const auto& lrow : left.rows()) {
-    // Admissible start times of the right event given the left event.
-    const TimestampMs lt = lrow[lcol].start_time();
-    const TimeRange window = TempRelBounds(rel, left_has_lhs, lt, lt);
-    auto first = std::lower_bound(times.begin(), times.end(), window.begin);
-    auto last = std::lower_bound(times.begin(), times.end(), window.end);
-    for (auto it = first; it != last; ++it) {
-      size_t j = order[static_cast<size_t>(it - times.begin())];
-      const auto& rrow = right.rows()[j];
-      // Re-check the driving relationship exactly (lo=0 'within' etc.).
-      const EventView& le = left_has_lhs ? lrow[lcol] : rrow[rcol];
-      const EventView& re = left_has_lhs ? rrow[rcol] : lrow[lcol];
-      if (!CheckTempRel(rel, le, re)) {
-        continue;
-      }
-      if (!rest.empty() && !RowPairSatisfies(rest, left, right, lrow, rrow)) {
-        continue;
-      }
-      Status s = budget_->Charge(1);
-      if (!s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      out.rows_.push_back(ConcatRows(lrow, rrow));
-    }
-  }
-  return out;
-}
-
-Result<TupleSet> TupleJoiner::NestedLoopJoin(const TupleSet& left, const TupleSet& right,
-                                             const std::vector<Relationship>& rels) {
-  TupleSet out;
-  out.patterns_ = left.patterns();
-  out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
-  for (const auto& lrow : left.rows()) {
-    for (const auto& rrow : right.rows()) {
-      // The nested loop pays for every comparison — this is the cost model of
-      // the semantics-agnostic baseline.
-      Status s = budget_->Charge(1);
-      if (!s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      if (!rels.empty() && !RowPairSatisfies(rels, left, right, lrow, rrow)) {
-        continue;
-      }
-      out.rows_.push_back(ConcatRows(lrow, rrow));
-    }
-  }
-  return out;
+  return TupleSet(std::move(patterns), std::move(cells));
 }
 
 }  // namespace aiql

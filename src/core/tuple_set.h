@@ -1,15 +1,18 @@
 // Tuple sets: the intermediate result representation of Algorithm 1.
 //
 // A TupleSet binds a subset of the query's event patterns to concrete matched
-// events; each row is one joint assignment. The map M of Algorithm 1 maps
-// pattern ids to shared tuple sets; joins/filters produce new sets which
-// replace the old values (replaceVals in the paper's pseudocode).
+// events; each row is one joint assignment, and the rows are stored flat,
+// row after row, behind row(i) spans. The executor's map M of Algorithm 1
+// points each pattern at the set that binds it; a join of two sets on every
+// relationship between them replaces both (replaceVals in the paper's
+// pseudocode).
 #ifndef AIQL_SRC_CORE_TUPLE_SET_H_
 #define AIQL_SRC_CORE_TUPLE_SET_H_
 
 #include <atomic>
-#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/eval.h"
@@ -46,67 +49,58 @@ class BudgetGuard {
 class TupleSet {
  public:
   TupleSet() = default;
+  // A set binding `patterns` (column i holds pattern patterns[i]) whose rows
+  // are the consecutive patterns.size()-wide runs of `cells`.
+  TupleSet(std::vector<size_t> patterns, std::vector<EventView> cells)
+      : patterns_(std::move(patterns)), cells_(std::move(cells)) {}
 
-  static TupleSet FromMatches(size_t pattern, std::vector<EventView> matches);
+  // The one-column set of a fetched pattern's matches.
+  static TupleSet FromMatches(size_t pattern, std::vector<EventView> matches) {
+    return TupleSet({pattern}, std::move(matches));
+  }
 
   const std::vector<size_t>& patterns() const { return patterns_; }
-  const std::vector<std::vector<EventView>>& rows() const { return rows_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return patterns_.empty() ? 0 : cells_.size() / patterns_.size(); }
+  std::span<const EventView> row(size_t i) const {
+    return {cells_.data() + i * patterns_.size(), patterns_.size()};
+  }
 
   // Column of `pattern` in each row; -1 if the pattern is not bound.
   int ColumnOf(size_t pattern) const;
   bool Binds(size_t pattern) const { return ColumnOf(pattern) >= 0; }
 
-  // In-place filter by a relationship whose two patterns are both bound.
-  void Filter(const Relationship& rel, const EntityCatalog& catalog);
-
-  std::vector<std::vector<EventView>>* mutable_rows() { return &rows_; }
-
-  friend class TupleJoiner;
-
  private:
   std::vector<size_t> patterns_;
-  std::vector<std::vector<EventView>> rows_;
-};
-
-// Join strategy knobs. The AIQL engine uses hash joins for equality
-// relationships and time-sorted binary-search joins for temporal ones; the
-// big-join baseline (PostgreSQL-scheduling model) uses nested loops
-// throughout, modeling the misplanned monolithic join the paper measures
-// when a semantics-agnostic planner faces many mixed join constraints
-// (paper §5.1: "indeterministic optimizations ... often causes the execution
-// to last for minutes or even hours", §6.2.2).
-struct JoinStrategy {
-  bool hash_equality = true;
-  bool temporal_index = true;
+  std::vector<EventView> cells_;
 };
 
 class TupleJoiner {
  public:
-  TupleJoiner(const EntityCatalog& catalog, BudgetGuard* budget, JoinStrategy strategy)
-      : catalog_(catalog), budget_(budget), strategy_(strategy) {}
+  // `nested_loop` joins by nested loop whatever the relationships, paying
+  // for every comparison: the big-join baseline (PostgreSQL-scheduling
+  // model), i.e. the misplanned monolithic join the paper measures when a
+  // semantics-agnostic planner faces many mixed join constraints (paper
+  // §5.1, §6.2.2).
+  TupleJoiner(const EntityCatalog& catalog, BudgetGuard* budget, bool nested_loop)
+      : catalog_(catalog), budget_(budget), nested_loop_(nested_loop) {}
 
   // Joins two disjoint tuple sets under `rels` (every rel must connect a
   // pattern of `left` with one of `right`). An empty `rels` is a cross join.
+  // The join is driven by rels[0]: a hash join for an equi-join, a
+  // binary search over the right rows' start times for a temporal
+  // relationship, a nested loop otherwise; the remaining relationships are
+  // checked on each row pair. Rows come out in left-row order, and per left
+  // row in right-row order (start-time order for a temporal driver), so
+  // joining on rels[0] and then dropping the rows that fail the rest gives
+  // the same rows in the same order. Each emitted row costs one work unit
+  // (a nested loop pays per comparison instead).
   Result<TupleSet> Join(const TupleSet& left, const TupleSet& right,
                         const std::vector<Relationship>& rels);
 
  private:
-  Result<TupleSet> HashJoin(const TupleSet& left, const TupleSet& right,
-                            const Relationship& eq_rel, const std::vector<Relationship>& rest);
-  Result<TupleSet> TemporalJoin(const TupleSet& left, const TupleSet& right,
-                                const Relationship& temp_rel,
-                                const std::vector<Relationship>& rest);
-  Result<TupleSet> NestedLoopJoin(const TupleSet& left, const TupleSet& right,
-                                  const std::vector<Relationship>& rels);
-
-  bool RowPairSatisfies(const std::vector<Relationship>& rels, const TupleSet& left,
-                        const TupleSet& right, const std::vector<EventView>& lrow,
-                        const std::vector<EventView>& rrow) const;
-
   const EntityCatalog& catalog_;
   BudgetGuard* budget_;
-  JoinStrategy strategy_;
+  bool nested_loop_;
 };
 
 }  // namespace aiql

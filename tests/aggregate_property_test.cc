@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -201,7 +202,12 @@ TEST(AggregatePropertyTest, MultieventProjectionMatchesReference) {
           ExecuteMultievent(*db, ctx.value(), ExecOptions{}, nullptr, &session);
       ASSERT_TRUE(tuples.ok()) << text << "\n" << tuples.error();
       const reference::Input in{tuples.value().patterns(), db->catalog()};
-      const ResultTable want = reference::Project(ctx.value(), tuples.value().rows(), in);
+      std::vector<reference::Row> rows;
+      for (size_t r = 0; r < tuples.value().num_rows(); ++r) {
+        const std::span<const EventView> row = tuples.value().row(r);
+        rows.emplace_back(row.begin(), row.end());
+      }
+      const ResultTable want = reference::Project(ctx.value(), rows, in);
 
       Result<ResultTable> got = engine.Execute(text);
       ASSERT_TRUE(got.ok()) << text << "\n" << got.error();

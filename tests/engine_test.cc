@@ -245,6 +245,47 @@ TEST_F(EngineTest, PushdownDisabledStillCorrect) {
   EXPECT_EQ(r.value().exec_stats().pushdown_applications, 0u);
 }
 
+// A join applies every relationship between its two tuple sets: the shared
+// file drives a hash join and `before` is checked on each pair inside it, so
+// join work counts result rows, not the file-sharing pairs that run in the
+// wrong order.
+TEST(JoinTest, OneJoinAppliesEveryRelationshipBetweenTwoSets) {
+  Database db;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1, 12, 0, 0);
+  const uint32_t writer = db.catalog().InternProcess(1, 10, "/bin/writer", "root");
+  const uint32_t reader = db.catalog().InternProcess(1, 11, "/bin/reader", "root");
+  const uint32_t file = db.catalog().InternFile(1, "/d/f");
+  // Writes (amounts 100, 200, 300) and reads (1, 2, 3) of one file alternate
+  // a minute apart: 9 write/read pairs share the file, 6 run in order.
+  for (int i = 0; i < 3; ++i) {
+    db.RecordEvent(1, writer, Operation::kWrite, EntityType::kFile, file,
+                   t0 + 2 * i * kMinuteMs, 100 * (i + 1));
+    db.RecordEvent(1, reader, Operation::kRead, EntityType::kFile, file,
+                   t0 + (2 * i + 1) * kMinuteMs, i + 1);
+  }
+  db.Finalize();
+  const std::vector<std::vector<int64_t>> want = {{100, 1}, {100, 2}, {100, 3},
+                                                  {200, 2}, {200, 3}, {300, 3}};
+  for (SchedulerKind scheduler : {SchedulerKind::kRelationship, SchedulerKind::kFetchFilter}) {
+    AiqlEngine engine(&db, EngineOptions{.scheduler = scheduler});
+    auto r = engine.Execute(R"(
+        agentid = 1 (at "01/01/2017")
+        proc p1 write file f1 as evt1
+        proc p2 read file f1 as evt2
+        with evt1 before evt2
+        return evt1.amount as w, evt2.amount as r)");
+    ASSERT_TRUE(r.ok()) << r.error();
+    std::vector<std::vector<int64_t>> got;
+    for (const auto& row : r.value().rows()) {
+      got.push_back({row[0].as_int(), row[1].as_int()});
+    }
+    EXPECT_EQ(got, want) << SchedulerKindName(scheduler);
+    const ExecStats& stats = r.value().exec_stats();
+    EXPECT_EQ(stats.final_tuples, want.size()) << SchedulerKindName(scheduler);
+    EXPECT_EQ(stats.join_work, stats.final_tuples) << SchedulerKindName(scheduler);
+  }
+}
+
 // --- anomaly execution ---
 
 class AnomalyTest : public ::testing::Test {

@@ -233,6 +233,27 @@ TEST(CorpusTest, MatchesReferenceStoreAcrossSchedulers) {
   }
 }
 
+TEST(CorpusTest, RelationshipSchedulerJoinWorkStaysNearResultSize) {
+  // Each join applies every relationship between its two tuple sets, so
+  // c4-7's six patterns (a temporal chain, shared processes and f2 = f3)
+  // never build intermediate rows that a later relationship discards.
+  const SharedWorld& world = World();
+  bool found = false;
+  for (const auto& spec : world.workload->CaseStudyQueries()) {
+    if (spec.id != "c4-7") {
+      continue;
+    }
+    found = true;
+    AiqlEngine engine(world.db.get());
+    auto r = engine.Execute(spec.text);
+    ASSERT_TRUE(r.ok()) << r.error();
+    const ExecStats& stats = r.value().exec_stats();
+    EXPECT_GT(stats.final_tuples, 0u);
+    EXPECT_LE(stats.join_work, 3 * stats.final_tuples);
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(CorpusTest, StorageSchemesAgree) {
   // Partitioned + indexed vs monolithic + unindexed storage: same answers.
   ScenarioConfig config;
