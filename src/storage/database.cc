@@ -37,10 +37,9 @@ Partition& Database::PartitionFor(AgentId agent, TimestampMs t) {
   return *it->second;
 }
 
-const Event& Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
-                                   EntityType object_type, uint32_t object_idx,
-                                   TimestampMs start_time, int64_t amount, int32_t failure_code,
-                                   TimestampMs end_time) {
+void Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
+                           EntityType object_type, uint32_t object_idx, TimestampMs start_time,
+                           int64_t amount, int32_t failure_code, TimestampMs end_time) {
   Event e;
   e.id = next_event_id_++;
   e.seq = ++agent_seq_[agent];
@@ -54,20 +53,15 @@ const Event& Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operatio
   e.amount = amount;
   e.failure_code = failure_code;
 
-  Partition& p = PartitionFor(agent, start_time);
-  p.Append(e);
-  ++num_events_;
-  data_range_.begin = std::min(data_range_.begin, start_time);
-  data_range_.end = std::max(data_range_.end, start_time + 1);
-  finalized_ = false;
-  return p.events().back();
+  AppendRaw(e);
 }
 
 void Database::AppendRaw(const Event& e) {
-  Partition& p = PartitionFor(e.agent_id, e.start_time);
-  p.Append(e);
+  PartitionFor(e.agent_id, e.start_time).Append(e);
   ++num_events_;
   next_event_id_ = std::max(next_event_id_, e.id + 1);
+  int64_t& seq = agent_seq_[e.agent_id];
+  seq = std::max(seq, e.seq);
   data_range_.begin = std::min(data_range_.begin, e.start_time);
   data_range_.end = std::max(data_range_.end, e.start_time + 1);
   finalized_ = false;

@@ -157,13 +157,13 @@ class Database : public EventStore {
 
   // Appends an event; ids and per-agent sequence numbers are assigned here.
   // end_time defaults to start_time when omitted.
-  const Event& RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
-                           EntityType object_type, uint32_t object_idx, TimestampMs start_time,
-                           int64_t amount = 0, int32_t failure_code = 0,
-                           TimestampMs end_time = -1);
+  void RecordEvent(AgentId agent, uint32_t subject_idx, Operation op, EntityType object_type,
+                   uint32_t object_idx, TimestampMs start_time, int64_t amount = 0,
+                   int32_t failure_code = 0, TimestampMs end_time = -1);
 
   // Appends a fully-formed event preserving its id/sequence (used when
-  // re-sharding an existing database into MPP segments).
+  // re-sharding an existing database into MPP segments). Later RecordEvent
+  // ids and per-agent sequence numbers continue past the replayed ones.
   void AppendRaw(const Event& e);
 
   // Sorts partitions, builds all indexes, and applies the archive policy

@@ -40,23 +40,12 @@ std::optional<Operation> ParseOperation(std::string_view name) {
 }
 
 std::optional<Value> EventAttr(const EventView& v, const EntityCatalog& catalog, Attr a) {
+  if (std::optional<EventColumnId> column = InfoOf(a).column) {
+    return Value(v.ColumnValue(*column));
+  }
   switch (a) {
-    case Attr::kEventId:
-      return Value(v.id());
-    case Attr::kEventSeq:
-      return Value(v.seq());
-    case Attr::kEventAgentId:
-      return Value(static_cast<int64_t>(v.agent_id()));
     case Attr::kEventOptype:
       return Value(OperationName(v.op()));
-    case Attr::kEventStartTime:
-      return Value(v.start_time());
-    case Attr::kEventEndTime:
-      return Value(v.end_time());
-    case Attr::kEventAmount:
-      return Value(v.amount());
-    case Attr::kEventFailureCode:
-      return Value(static_cast<int64_t>(v.failure_code()));
     case Attr::kEventSubjectId:
       return Value(catalog.IdOf(EntityType::kProcess, v.subject_idx()));
     case Attr::kEventObjectId:

@@ -15,6 +15,8 @@
 #define AIQL_SRC_STORAGE_EVENT_VIEW_H_
 
 #include <cstdint>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/storage/attributes.h"
@@ -23,6 +25,8 @@
 namespace aiql {
 
 // Parallel per-attribute columns; row i across all vectors is one event.
+// Each vector is listed once more, with its EventColumnId and Event field, in
+// the column registry below.
 struct EventColumns {
   std::vector<int64_t> id;
   std::vector<int64_t> seq;
@@ -39,64 +43,111 @@ struct EventColumns {
   size_t size() const { return start_time.size(); }
   bool empty() const { return start_time.empty(); }
 
-  void Reserve(size_t n) {
-    id.reserve(n);
-    seq.reserve(n);
-    agent_id.reserve(n);
-    op.reserve(n);
-    object_type.reserve(n);
-    subject_idx.reserve(n);
-    object_idx.reserve(n);
-    start_time.reserve(n);
-    end_time.reserve(n);
-    amount.reserve(n);
-    failure_code.reserve(n);
-  }
-
-  void Append(const Event& e) {
-    id.push_back(e.id);
-    seq.push_back(e.seq);
-    agent_id.push_back(e.agent_id);
-    op.push_back(e.op);
-    object_type.push_back(e.object_type);
-    subject_idx.push_back(e.subject_idx);
-    object_idx.push_back(e.object_idx);
-    start_time.push_back(e.start_time);
-    end_time.push_back(e.end_time);
-    amount.push_back(e.amount);
-    failure_code.push_back(e.failure_code);
-  }
-
-  void Clear() {
-    id.clear();
-    seq.clear();
-    agent_id.clear();
-    op.clear();
-    object_type.clear();
-    subject_idx.clear();
-    object_idx.clear();
-    start_time.clear();
-    end_time.clear();
-    amount.clear();
-    failure_code.clear();
-  }
-
-  Event Materialize(uint32_t row) const {
-    Event e;
-    e.id = id[row];
-    e.seq = seq[row];
-    e.agent_id = agent_id[row];
-    e.op = op[row];
-    e.object_type = object_type[row];
-    e.subject_idx = subject_idx[row];
-    e.object_idx = object_idx[row];
-    e.start_time = start_time[row];
-    e.end_time = end_time[row];
-    e.amount = amount[row];
-    e.failure_code = failure_code[row];
-    return e;
-  }
+  void Reserve(size_t n);
+  void Append(const Event& e);
+  Event Materialize(uint32_t row) const;
 };
+
+// --- the event-column registry ----------------------------------------------
+//
+// The one list of event columns: each entry ties an EventColumnId to its
+// EventColumns vector and its Event field. Code that handles every column
+// (append, materialize, archive encode/decode, byte counts) visits the list
+// with ForEachEventColumn; code that handles one column by id (scan filters,
+// zone maps, EventAttr) dispatches with VisitEventColumn. A new event column
+// is a field in Event, a vector in EventColumns, an EventColumnId and one
+// entry here.
+
+template <typename M>
+struct MemberType;
+template <typename C, typename M>
+struct MemberType<M C::*> {
+  using type = M;
+};
+
+template <EventColumnId Id, auto Vec, auto Field>
+struct EventColumn {
+  using Type = typename MemberType<decltype(Field)>::type;
+  static_assert(std::is_same_v<typename MemberType<decltype(Vec)>::type, std::vector<Type>>,
+                "an EventColumns vector holds its Event field's type");
+  static constexpr EventColumnId id = Id;
+  static constexpr auto vec = Vec;
+
+  static std::vector<Type>& Of(EventColumns& c) { return c.*Vec; }
+  static const std::vector<Type>& Of(const EventColumns& c) { return c.*Vec; }
+  static Type& Of(Event& e) { return e.*Field; }
+  static const Type& Of(const Event& e) { return e.*Field; }
+};
+
+using EventColumnRegistry = std::tuple<
+    EventColumn<EventColumnId::kId, &EventColumns::id, &Event::id>,
+    EventColumn<EventColumnId::kSeq, &EventColumns::seq, &Event::seq>,
+    EventColumn<EventColumnId::kAgentId, &EventColumns::agent_id, &Event::agent_id>,
+    EventColumn<EventColumnId::kOp, &EventColumns::op, &Event::op>,
+    EventColumn<EventColumnId::kObjectType, &EventColumns::object_type, &Event::object_type>,
+    EventColumn<EventColumnId::kSubjectIdx, &EventColumns::subject_idx, &Event::subject_idx>,
+    EventColumn<EventColumnId::kObjectIdx, &EventColumns::object_idx, &Event::object_idx>,
+    EventColumn<EventColumnId::kStartTime, &EventColumns::start_time, &Event::start_time>,
+    EventColumn<EventColumnId::kEndTime, &EventColumns::end_time, &Event::end_time>,
+    EventColumn<EventColumnId::kAmount, &EventColumns::amount, &Event::amount>,
+    EventColumn<EventColumnId::kFailureCode, &EventColumns::failure_code, &Event::failure_code>>;
+
+// Calls fn(column) for every registry entry, in EventColumnId order; `column`
+// is an empty EventColumn value (its id, Type and Of()).
+template <typename Fn>
+constexpr void ForEachEventColumn(Fn&& fn) {
+  std::apply([&](auto... column) { (fn(column), ...); }, EventColumnRegistry{});
+}
+
+// Calls fn(column) for the registry entry of `id` only.
+template <typename Fn>
+constexpr void VisitEventColumn(EventColumnId id, Fn&& fn) {
+  ForEachEventColumn([&](auto column) {
+    if (column.id == id) {
+      fn(column);
+    }
+  });
+}
+
+// The id of the column EventColumns stores in vector `Vec`.
+template <auto Vec>
+constexpr EventColumnId ColumnIdOf() {
+  EventColumnId id = EventColumnId::kId;
+  int matches = 0;
+  ForEachEventColumn([&](auto column) {
+    if constexpr (std::is_same_v<std::remove_const_t<decltype(column.vec)>, decltype(Vec)>) {
+      if (column.vec == Vec) {
+        id = column.id;
+        ++matches;
+      }
+    }
+  });
+  return matches == 1 ? id : throw "not an EventColumns vector";
+}
+
+// Entry i is EventColumnId i, and every id has an entry.
+constexpr bool RegistryInIdOrder() {
+  int next = 0;
+  bool in_order = true;
+  ForEachEventColumn(
+      [&](auto column) { in_order = in_order && static_cast<int>(column.id) == next++; });
+  return in_order && next == kNumEventColumns;
+}
+static_assert(RegistryInIdOrder());
+
+inline void EventColumns::Reserve(size_t n) {
+  ForEachEventColumn([&](auto column) { column.Of(*this).reserve(n); });
+}
+
+inline void EventColumns::Append(const Event& e) {
+  ForEachEventColumn([&](auto column) { column.Of(*this).push_back(column.Of(e)); });
+}
+
+inline Event EventColumns::Materialize(uint32_t row) const {
+  Event e;
+  ForEachEventColumn([&](auto column) { column.Of(e) = column.Of(*this)[row]; });
+  return e;
+}
 
 // Cheap handle to one event: a row of an EventColumns. Identity
 // (equality) is the storage slot, so two views of the same row compare equal.
@@ -119,7 +170,12 @@ class EventView {
   int64_t amount() const { return cols_->amount[row_]; }
   int32_t failure_code() const { return cols_->failure_code[row_]; }
 
-  Event Materialize() const { return cols_->Materialize(row_); }
+  // Column `c` of this row, widened to int64 (attribute reads by column id).
+  int64_t ColumnValue(EventColumnId c) const {
+    int64_t v = 0;
+    VisitEventColumn(c, [&](auto column) { v = static_cast<int64_t>(column.Of(*cols_)[row_]); });
+    return v;
+  }
 
   bool operator==(const EventView& o) const { return cols_ == o.cols_ && row_ == o.row_; }
   bool operator!=(const EventView& o) const { return !(*this == o); }

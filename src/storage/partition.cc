@@ -1,6 +1,7 @@
 #include "src/storage/partition.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace aiql {
 namespace {
@@ -50,69 +51,26 @@ size_t ApplyMembership(uint32_t* rows, size_t n, const T* col,
   return kernels::SelectHashSet(rows, n, col, set, /*negate=*/false);
 }
 
-void DecodeOneColumn(const ArchivedColumns& a, EventColumnId id, EventColumns* out) {
-  const EncodedInts& e = a.cols[static_cast<int>(id)];
-  switch (id) {
-    case EventColumnId::kId:
-      DecodeColumn(e, &out->id);
-      break;
-    case EventColumnId::kSeq:
-      DecodeColumn(e, &out->seq);
-      break;
-    case EventColumnId::kAgentId:
-      DecodeColumn(e, &out->agent_id);
-      break;
-    case EventColumnId::kOp:
-      DecodeColumn(e, &out->op);
-      break;
-    case EventColumnId::kObjectType:
-      DecodeColumn(e, &out->object_type);
-      break;
-    case EventColumnId::kSubjectIdx:
-      DecodeColumn(e, &out->subject_idx);
-      break;
-    case EventColumnId::kObjectIdx:
-      DecodeColumn(e, &out->object_idx);
-      break;
-    case EventColumnId::kStartTime:
-      DecodeColumn(e, &out->start_time);
-      break;
-    case EventColumnId::kEndTime:
-      DecodeColumn(e, &out->end_time);
-      break;
-    case EventColumnId::kAmount:
-      DecodeColumn(e, &out->amount);
-      break;
-    case EventColumnId::kFailureCode:
-      DecodeColumn(e, &out->failure_code);
-      break;
-  }
+template <typename T>
+size_t ElementBytes(const std::vector<T>& column) {
+  return column.size() * sizeof(T);
 }
 
-size_t DecodedColumnBytes(EventColumnId id, size_t rows) {
-  switch (id) {
-    case EventColumnId::kId:
-    case EventColumnId::kSeq:
-    case EventColumnId::kStartTime:
-    case EventColumnId::kEndTime:
-    case EventColumnId::kAmount:
-      return rows * sizeof(int64_t);
-    case EventColumnId::kAgentId:
-    case EventColumnId::kSubjectIdx:
-    case EventColumnId::kObjectIdx:
-    case EventColumnId::kFailureCode:
-      return rows * sizeof(uint32_t);
-    case EventColumnId::kOp:
-    case EventColumnId::kObjectType:
-      return rows * sizeof(uint8_t);
-  }
-  return 0;
-}
-
-void DecodeAllColumns(const ArchivedColumns& a, EventColumns* out) {
-  for (int i = 0; i < kNumEventColumns; ++i) {
-    DecodeOneColumn(a, static_cast<EventColumnId>(i), out);
-  }
+// Decodes the archived columns in `mask` into `out`, accruing their decoded
+// and encoded bytes into `stats` when given.
+void DecodeEventColumns(const ArchivedColumns& a, EventColumnMask mask, EventColumns* out,
+                        ScanStats* stats) {
+  ForEachEventColumn([&](auto column) {
+    if ((mask & ColumnBit(column.id)) == 0) {
+      return;
+    }
+    const EncodedInts& encoded = a.cols[static_cast<int>(column.id)];
+    DecodeColumn(encoded, &column.Of(*out));
+    if (stats != nullptr) {
+      stats->decoded_bytes += ElementBytes(column.Of(*out));
+      stats->archived_bytes += encoded.EncodedBytes();
+    }
+  });
 }
 
 }  // namespace
@@ -120,41 +78,18 @@ void DecodeAllColumns(const ArchivedColumns& a, EventColumns* out) {
 ArchivedColumns EncodeEventColumns(const EventColumns& cols) {
   ArchivedColumns a;
   a.count = static_cast<uint32_t>(cols.size());
-  a.cols[static_cast<int>(EventColumnId::kId)] = EncodeColumn(cols.id);
-  a.cols[static_cast<int>(EventColumnId::kSeq)] = EncodeColumn(cols.seq);
-  a.cols[static_cast<int>(EventColumnId::kAgentId)] = EncodeColumn(cols.agent_id);
-  a.cols[static_cast<int>(EventColumnId::kOp)] = EncodeColumn(cols.op);
-  a.cols[static_cast<int>(EventColumnId::kObjectType)] = EncodeColumn(cols.object_type);
-  a.cols[static_cast<int>(EventColumnId::kSubjectIdx)] = EncodeColumn(cols.subject_idx);
-  a.cols[static_cast<int>(EventColumnId::kObjectIdx)] = EncodeColumn(cols.object_idx);
-  a.cols[static_cast<int>(EventColumnId::kStartTime)] = EncodeColumn(cols.start_time);
-  a.cols[static_cast<int>(EventColumnId::kEndTime)] = EncodeColumn(cols.end_time);
-  a.cols[static_cast<int>(EventColumnId::kAmount)] = EncodeColumn(cols.amount);
-  a.cols[static_cast<int>(EventColumnId::kFailureCode)] = EncodeColumn(cols.failure_code);
+  ForEachEventColumn([&](auto column) {
+    a.cols[static_cast<int>(column.id)] = EncodeColumn(column.Of(cols));
+  });
   return a;
 }
 
 const EventColumns* DecodedPartition::Ensure(EventColumnMask mask, ScanStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
   const EventColumnMask missing = static_cast<EventColumnMask>(mask & ~decoded_);
-  if (missing == 0) {
-    return &cols_;
-  }
-  size_t decoded_bytes = 0;
-  size_t archived_bytes = 0;
-  for (int i = 0; i < kNumEventColumns; ++i) {
-    const auto id = static_cast<EventColumnId>(i);
-    if ((missing & ColumnBit(id)) == 0) {
-      continue;
-    }
-    DecodeOneColumn(*src_, id, &cols_);
-    decoded_bytes += DecodedColumnBytes(id, src_->count);
-    archived_bytes += src_->cols[i].EncodedBytes();
-  }
-  decoded_ = static_cast<EventColumnMask>(decoded_ | missing);
-  if (stats != nullptr) {
-    stats->decoded_bytes += decoded_bytes;
-    stats->archived_bytes += archived_bytes;
+  if (missing != 0) {
+    DecodeEventColumns(*src_, missing, &cols_, stats);
+    decoded_ = static_cast<EventColumnMask>(decoded_ | missing);
   }
   return &cols_;
 }
@@ -173,24 +108,12 @@ std::shared_ptr<DecodedPartition> DecodeCache::Acquire(const Partition* p, ScanS
 }
 
 void Partition::Append(const Event& e) {
-  if (finalized_) {
-    Rehydrate();
-  }
-  finalized_ = false;
-  events_.push_back(e);
-}
-
-void Partition::Rehydrate() {
   if (archived_ != nullptr) {
-    DecodeAllColumns(*archived_, &cols_);
+    DecodeEventColumns(*archived_, kAllEventColumns, &cols_, nullptr);
     archived_.reset();
   }
-  events_.reserve(cols_.size());
-  for (uint32_t i = 0; i < cols_.size(); ++i) {
-    events_.push_back(cols_.Materialize(i));
-  }
-  cols_ = EventColumns();
   finalized_ = false;
+  cols_.Append(e);
 }
 
 void Partition::Archive() {
@@ -203,69 +126,63 @@ void Partition::Archive() {
 
 size_t Partition::ColumnBytes() const {
   size_t total = 0;
-  for (int i = 0; i < kNumEventColumns; ++i) {
-    total += DecodedColumnBytes(static_cast<EventColumnId>(i), cols_.size());
-  }
+  ForEachEventColumn([&](auto column) { total += ElementBytes(column.Of(cols_)); });
   return total;
 }
 
 void Partition::Finalize(bool build_indexes) {
   if (finalized_) {
-    Rehydrate();  // re-finalization over new options
+    return;
   }
   // (start_time, id) — not just start_time: scan emission order IS the
   // engine-wide result order (MergeSortedRuns merges per-partition runs
   // without re-sorting), and AppendRaw replay can ingest equal-timestamp
-  // events with descending ids.
-  std::sort(events_.begin(), events_.end(), [](const Event& a, const Event& b) {
-    return a.start_time != b.start_time ? a.start_time < b.start_time : a.id < b.id;
+  // events with descending ids. Ingest position breaks the remaining ties.
+  const size_t n = cols_.size();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  const std::vector<TimestampMs>& ts = cols_.start_time;
+  const std::vector<int64_t>& ids = cols_.id;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (ts[a] != ts[b]) {
+      return ts[a] < ts[b];
+    }
+    return ids[a] != ids[b] ? ids[a] < ids[b] : a < b;
+  });
+  ForEachEventColumn([&](auto column) {
+    auto& values = column.Of(cols_);
+    std::vector<typename decltype(column)::Type> sorted(n);
+    for (size_t i = 0; i < n; ++i) {
+      sorted[i] = values[order[i]];
+    }
+    values = std::move(sorted);
   });
 
-  zone_ = ZoneMap();
-  for (const Event& e : events_) {
-    zone_.Observe(e);
-  }
-  zone_.Seal();
+  zone_ = ZoneMap(cols_);
 
   subject_postings_.clear();
   object_postings_.clear();
   if (build_indexes) {
-    for (uint32_t i = 0; i < events_.size(); ++i) {
-      const Event& e = events_[i];
-      subject_postings_[e.subject_idx].push_back(i);
-      object_postings_[PackObjectKey(e.object_type, e.object_idx)].push_back(i);
+    for (uint32_t i = 0; i < n; ++i) {
+      subject_postings_[cols_.subject_idx[i]].push_back(i);
+      object_postings_[PackObjectKey(cols_.object_type[i], cols_.object_idx[i])].push_back(i);
     }
   }
   has_indexes_ = build_indexes;
-
-  cols_.Clear();
-  cols_.Reserve(events_.size());
-  for (const Event& e : events_) {
-    cols_.Append(e);
-  }
-  events_.clear();
-  events_.shrink_to_fit();
   finalized_ = true;
 }
 
 void Partition::ForEachEvent(const std::function<void(const Event&)>& fn) const {
+  const EventColumns* cols = &cols_;
+  EventColumns decoded;
   if (archived_ != nullptr) {
     // Bulk export (graph/MPP builds): a transient full decode, not routed
     // through the decode cache — nothing here outlives the call.
-    EventColumns tmp;
-    DecodeAllColumns(*archived_, &tmp);
-    for (uint32_t i = 0; i < tmp.size(); ++i) {
-      Event e = tmp.Materialize(i);
-      fn(e);
-    }
-    return;
+    DecodeEventColumns(*archived_, kAllEventColumns, &decoded, nullptr);
+    cols = &decoded;
   }
-  for (uint32_t i = 0; i < cols_.size(); ++i) {
-    Event e = cols_.Materialize(i);
-    fn(e);
-  }
-  for (const Event& e : events_) {  // pre-finalize ingest buffer
-    fn(e);
+  for (uint32_t i = 0; i < cols->size(); ++i) {
+    fn(cols->Materialize(i));
   }
 }
 
@@ -282,7 +199,7 @@ bool Partition::CanMatch(const TimeRange& range, const DataQuery& q,
                          const std::unordered_set<AgentId>* agent_set,
                          const EntityCandidates* subjects, const EntityCandidates* objects,
                          ScanStats* stats) const {
-  if (size() == 0) {
+  if (!finalized_ || size() == 0) {
     return false;
   }
   if (range.begin > max_time() || range.end <= min_time()) {
@@ -383,12 +300,12 @@ EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
   if (!pred.residual.is_true()) {
     return kAllEventColumns;  // row-at-a-time attribute access
   }
-  EventColumnMask m = ColumnBit(EventColumnId::kStartTime);
+  EventColumnMask m = kColumnBitOf<&EventColumns::start_time>;
   if (OpFilterActive(static_cast<OpMask>(q.op_mask & pred.op_mask))) {
-    m |= ColumnBit(EventColumnId::kOp);
+    m |= kColumnBitOf<&EventColumns::op>;
   }
   if (TypeFilterActive(q.object_type)) {
-    m |= ColumnBit(EventColumnId::kObjectType);
+    m |= kColumnBitOf<&EventColumns::object_type>;
   }
   for (const ColumnFilter& f : pred.filters) {
     if (ColumnFilterActive(f)) {
@@ -396,13 +313,13 @@ EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
     }
   }
   if (AgentFilterActive(args.agent_set)) {
-    m |= ColumnBit(EventColumnId::kAgentId);
+    m |= kColumnBitOf<&EventColumns::agent_id>;
   }
   if (args.subjects != nullptr) {
-    m |= ColumnBit(EventColumnId::kSubjectIdx);
+    m |= kColumnBitOf<&EventColumns::subject_idx>;
   }
   if (args.objects != nullptr) {
-    m |= ColumnBit(EventColumnId::kObjectIdx);
+    m |= kColumnBitOf<&EventColumns::object_idx>;
   }
   return m;
 }
@@ -438,31 +355,9 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
     if (!ColumnFilterActive(f)) {
       continue;
     }
-    switch (f.col) {
-      case EventColumnId::kId:
-        n = ApplyColumnFilter(rows, n, cols->id.data(), f);
-        break;
-      case EventColumnId::kSeq:
-        n = ApplyColumnFilter(rows, n, cols->seq.data(), f);
-        break;
-      case EventColumnId::kAgentId:
-        n = ApplyColumnFilter(rows, n, cols->agent_id.data(), f);
-        break;
-      case EventColumnId::kStartTime:
-        n = ApplyColumnFilter(rows, n, cols->start_time.data(), f);
-        break;
-      case EventColumnId::kEndTime:
-        n = ApplyColumnFilter(rows, n, cols->end_time.data(), f);
-        break;
-      case EventColumnId::kAmount:
-        n = ApplyColumnFilter(rows, n, cols->amount.data(), f);
-        break;
-      case EventColumnId::kFailureCode:
-        n = ApplyColumnFilter(rows, n, cols->failure_code.data(), f);
-        break;
-      default:
-        break;  // no attribute filters on op, type or entity-index columns
-    }
+    VisitEventColumn(f.col, [&](auto column) {
+      n = ApplyColumnFilter(rows, n, column.Of(*cols).data(), f);
+    });
   }
 
   // Spatial constraint — skipped when every agent in the partition qualifies.
@@ -508,7 +403,8 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
                         ScanStats* stats) const {
   const DataQuery& q = *args.query;
   TimeRange range = q.EffectiveTime();
-  if (range.empty() || size() == 0 || range.begin > max_time() || range.end <= min_time()) {
+  if (!finalized_ || range.empty() || size() == 0 || range.begin > max_time() ||
+      range.end <= min_time()) {
     return;
   }
 

@@ -1,9 +1,9 @@
 // A storage partition: one (day, agent-group) shard of the event table
 // (paper §3.2 "Time and Space Partitioning").
 //
-// Events are ingested into a row buffer and reorganized at Finalize() into a
-// structure-of-arrays layout (EventColumns) sorted by start_time, so
-// time-range scans are binary searches. Queries run a vectorized scan that
+// Events are appended to a structure-of-arrays layout (EventColumns) in
+// ingest order; Finalize() sorts the columns by start_time, so time-range
+// scans are binary searches. Queries run a vectorized scan that
 // evaluates one column at a time over a shrinking selection vector and emits
 // EventViews without materializing Event copies. Finalize also builds
 // per-entity posting lists, the analogue of the paper's per-attribute B-tree
@@ -47,6 +47,10 @@ inline constexpr EventColumnMask kAllEventColumns = (1u << kNumEventColumns) - 1
 constexpr EventColumnMask ColumnBit(EventColumnId c) {
   return static_cast<EventColumnMask>(1u << static_cast<int>(c));
 }
+
+// The bit of the column EventColumns stores in vector `Vec`.
+template <auto Vec>
+inline constexpr EventColumnMask kColumnBitOf = ColumnBit(ColumnIdOf<Vec>());
 
 // The delta/FOR re-encoding of one partition's EventColumns (codec choice is
 // adaptive per column; see encoding.h).
@@ -165,22 +169,18 @@ class Partition {
   explicit Partition(PartitionKey key) : key_(key) {}
 
   const PartitionKey& key() const { return key_; }
-  // Events held: the columns once finalized, the ingest buffer before (at
-  // most one of the two is non-empty).
-  size_t size() const {
-    return archived_ != nullptr ? archived_->count : cols_.size() + events_.size();
-  }
+  // Events held, hot or archived.
+  size_t size() const { return archived_ != nullptr ? archived_->count : cols_.size(); }
 
-  // Pre-finalize ingest buffer; released at Finalize().
-  const std::vector<Event>& events() const { return events_; }
-
-  // Appending to a finalized partition rehydrates the ingest buffer;
-  // re-finalization rebuilds columns and indexes.
+  // Appends to the columns in ingest order. An archived partition decodes
+  // its columns first; a finalized one is reopened and matches no query
+  // until the next Finalize.
   void Append(const Event& e);
 
-  // Sorts by (start_time, id), builds the zone map and posting lists, and
-  // transposes the ingest buffer into EventColumns. Must be called before
-  // Execute; ingest after Finalize requires re-finalization.
+  // Sorts the columns by (start_time, id), each gathered once into an
+  // exact-size vector, then builds the zone map and posting lists from them.
+  // Must be called before Execute; a no-op when nothing was appended since
+  // the last call.
   void Finalize(bool build_indexes);
   bool finalized() const { return finalized_; }
 
@@ -188,7 +188,7 @@ class Partition {
   // column; see encoding.h) and releases them. Requires a finalized
   // partition; no-op otherwise. Zone map and posting lists stay resident, so
   // pruning and morsel planning never decode. Ingesting into an archived
-  // partition decodes it back (Append/Finalize handle this transparently).
+  // partition decodes it back (see Append).
   void Archive();
   bool archived() const { return archived_ != nullptr; }
   const ArchivedColumns* archived_columns() const { return archived_.get(); }
@@ -199,12 +199,12 @@ class Partition {
   size_t ArchivedBytes() const { return archived_ != nullptr ? archived_->EncodedBytes() : 0; }
 
   // Zone-map candidate check: could ANY event in this partition satisfy the
-  // query? `range` is the query's effective time range, `pred` the compiled
-  // event predicate, `agent_set` the plan's resolved agent candidates, and
-  // `subjects`/`objects` the plan's candidate entities, if constrained
-  // (entity range + bloom pruning; a prune they cause bumps
-  // stats->partitions_pruned_entity). Consulted by Database::PlanQuery before
-  // any scan.
+  // query? Never for a partition that is not finalized. `range` is the
+  // query's effective time range, `pred` the compiled event predicate,
+  // `agent_set` the plan's resolved agent candidates, and `subjects`/`objects`
+  // the plan's candidate entities, if constrained (entity range + bloom
+  // pruning; a prune they cause bumps stats->partitions_pruned_entity).
+  // Consulted by Database::PlanQuery before any scan.
   bool CanMatch(const TimeRange& range, const DataQuery& q, const CompiledEventPred& pred,
                 const std::unordered_set<AgentId>* agent_set, const EntityCandidates* subjects,
                 const EntityCandidates* objects, ScanStats* stats) const;
@@ -256,10 +256,6 @@ class Partition {
   // engine reads any attribute of a returned view.
   EventColumnMask ScanColumnMask(const PartitionScanArgs& args) const;
 
-  // Rebuilds the row buffer from columns (decoding archived ones first) so
-  // post-finalize ingest works.
-  void Rehydrate();
-
   // Per-stage activity predicates, shared by ScanColumnMask and VectorScan
   // so the decoded columns and the filter pipeline can never disagree about
   // which stages run.
@@ -287,8 +283,7 @@ class Partition {
                          std::vector<uint32_t>* offsets, ScanStats* stats) const;
 
   PartitionKey key_;
-  std::vector<Event> events_;  // pre-finalize ingest buffer
-  EventColumns cols_;          // finalized columns (hot)
+  EventColumns cols_;  // hot columns: ingest order, sorted once finalized
   std::unique_ptr<ArchivedColumns> archived_;  // encoded columns (archived)
   ZoneMap zone_;
   bool finalized_ = false;

@@ -4,35 +4,6 @@ namespace aiql {
 
 namespace {
 
-void ObserveValue(ZoneMap* z, EventColumnId c, int64_t v) {
-  int i = static_cast<int>(c);
-  z->min[i] = std::min(z->min[i], v);
-  z->max[i] = std::max(z->max[i], v);
-}
-
-}  // namespace
-
-void ZoneMap::Observe(const Event& e) {
-  ObserveValue(this, EventColumnId::kId, e.id);
-  ObserveValue(this, EventColumnId::kSeq, e.seq);
-  ObserveValue(this, EventColumnId::kAgentId, static_cast<int64_t>(e.agent_id));
-  ObserveValue(this, EventColumnId::kStartTime, e.start_time);
-  ObserveValue(this, EventColumnId::kEndTime, e.end_time);
-  ObserveValue(this, EventColumnId::kAmount, e.amount);
-  ObserveValue(this, EventColumnId::kFailureCode, static_cast<int64_t>(e.failure_code));
-  op_mask |= OpBit(e.op);
-  object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(e.object_type));
-  agents.push_back(e.agent_id);
-  subject_min = std::min(subject_min, e.subject_idx);
-  subject_max = std::max(subject_max, e.subject_idx);
-  object_min = std::min(object_min, e.object_idx);
-  object_max = std::max(object_max, e.object_idx);
-  pending_subjects_.push_back(e.subject_idx);
-  pending_objects_.push_back(PackObjectKey(e.object_type, e.object_idx));
-}
-
-namespace {
-
 template <typename T>
 void SortDedupe(std::vector<T>* v) {
   std::sort(v->begin(), v->end());
@@ -41,23 +12,52 @@ void SortDedupe(std::vector<T>* v) {
 
 }  // namespace
 
-void ZoneMap::Seal() {
+ZoneMap::ZoneMap(const EventColumns& cols) : ZoneMap() {
+  for (const AttrInfo& info : AttrsOf(AttrOwner::kEvent)) {
+    if (!info.column.has_value()) {
+      continue;
+    }
+    const int c = static_cast<int>(*info.column);
+    VisitEventColumn(*info.column, [&](auto column) {
+      for (auto v : column.Of(cols)) {
+        min[c] = std::min(min[c], static_cast<int64_t>(v));
+        max[c] = std::max(max[c], static_cast<int64_t>(v));
+      }
+    });
+  }
+  for (Operation op : cols.op) {
+    op_mask |= OpBit(op);
+  }
+  for (EntityType t : cols.object_type) {
+    object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(t));
+  }
+  agents = cols.agent_id;
   SortDedupe(&agents);
   agents.shrink_to_fit();
 
-  SortDedupe(&pending_subjects_);
-  subject_bloom.Build(pending_subjects_.size());
-  for (uint32_t idx : pending_subjects_) {
+  std::vector<uint32_t> subjects = cols.subject_idx;
+  SortDedupe(&subjects);
+  if (!subjects.empty()) {
+    subject_min = subjects.front();
+    subject_max = subjects.back();
+  }
+  subject_bloom.Build(subjects.size());
+  for (uint32_t idx : subjects) {
     subject_bloom.Add(idx);
   }
-  pending_subjects_ = {};
 
-  SortDedupe(&pending_objects_);
-  object_bloom.Build(pending_objects_.size());
-  for (uint64_t key : pending_objects_) {
+  std::vector<uint64_t> objects;
+  objects.reserve(cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    object_min = std::min(object_min, cols.object_idx[i]);
+    object_max = std::max(object_max, cols.object_idx[i]);
+    objects.push_back(PackObjectKey(cols.object_type[i], cols.object_idx[i]));
+  }
+  SortDedupe(&objects);
+  object_bloom.Build(objects.size());
+  for (uint64_t key : objects) {
     object_bloom.Add(key);
   }
-  pending_objects_ = {};
 }
 
 bool ZoneMap::MayContainSubject(const EntityCandidates& c) const {

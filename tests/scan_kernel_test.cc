@@ -256,13 +256,13 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
 }
 
 TEST(ZoneMapTest, ContainsAnyAgentBothDirections) {
-  ZoneMap z;
+  EventColumns cols;
   Event e;
   for (AgentId a : {5u, 9u, 1000u}) {
     e.agent_id = a;
-    z.Observe(e);
+    cols.Append(e);
   }
-  z.Seal();
+  ZoneMap z(cols);
   // Small candidate sets (binary-search direction).
   EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{1000}));
   EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{5, 6}));
