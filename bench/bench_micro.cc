@@ -1,17 +1,22 @@
-// Micro-benchmarks (google-benchmark): ingest rate, LIKE matching, entity
+// Micro-benchmarks (google-benchmark): ingest rate (generator and audit-log
+// parser), LIKE matching, entity
 // index lookup, partition time-slice scans, full-scan throughput per scan
 // parallelism level, hash vs nested-loop joins.
 // These quantify the primitive costs behind the macro benches.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
 #include <unordered_map>
 
 #include "src/core/engine.h"
 #include "src/core/tuple_set.h"
+#include "src/ingest/audit_log.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/util/string_utils.h"
 #include "src/util/thread_pool.h"
+#include "src/workload/workload.h"
 
 namespace aiql {
 namespace {
@@ -32,6 +37,36 @@ void BM_IngestEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_IngestEvents)->Arg(10000)->Arg(100000);
+
+// Audit-log ingest (parse, intern, append; no Finalize): a generated store
+// is serialized once, and every iteration ingests the text into a new store.
+void BM_AuditLogIngest(benchmark::State& state) {
+  static const std::string* log = [] {
+    ScenarioConfig config;
+    config.trace.num_hosts = 8;
+    config.trace.events_per_host_per_day = 2000;
+    config.trace.num_days = 2;
+    Database staging;
+    Workload(config, &staging).Build();
+    staging.Finalize();
+    return new std::string(SerializeAuditLog(staging));
+  }();
+  size_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto db = std::make_unique<Database>();
+    state.ResumeTiming();
+    IngestReport report = AuditLogParser(db.get()).IngestText(*log);
+    records = report.records_ingested;
+    benchmark::DoNotOptimize(records);
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * records));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * log->size()));
+}
+BENCHMARK(BM_AuditLogIngest)->Unit(benchmark::kMillisecond);
 
 void BM_LikeMatch(benchmark::State& state) {
   std::string text = "C:\\Program Files\\Common Files\\System\\wab32res.dll";

@@ -1,6 +1,7 @@
 #include "src/ingest/audit_log.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <initializer_list>
 #include <limits>
@@ -10,47 +11,105 @@
 namespace aiql {
 namespace {
 
-// Splits a record line into key=value fields; values may be double-quoted.
-Result<std::unordered_map<std::string, std::string>> ParseFields(const std::string& line) {
-  std::unordered_map<std::string, std::string> fields;
+// The fields a record is read from: one slot each in a Record, named by
+// kFieldNames (lower case). Ordered by how often a record carries them.
+enum Field : uint8_t {
+  kTs,
+  kAgent,
+  kPid,
+  kExe,
+  kOp,
+  kObj,
+  kPath,
+  kAmount,
+  kFail,
+  kUser,
+  kTpid,
+  kTexe,
+  kTagent,
+  kSrc,
+  kSport,
+  kDst,
+  kDport,
+  kProto,
+  kNumFields,
+};
+constexpr std::string_view kFieldNames[kNumFields] = {
+    "ts",   "agent", "pid",  "exe",    "op",  "obj",   "path", "amount", "fail",
+    "user", "tpid",  "texe", "tagent", "src", "sport", "dst",  "dport",  "proto",
+};
+
+// One record's fields as views into its line; absent fields are nullopt.
+using Record = std::array<std::optional<std::string_view>, kNumFields>;
+
+bool IsSeparator(char c) { return c == ' ' || c == '\t'; }
+
+// `key` equals the lower-case `name` up to ASCII case.
+bool KeyIs(std::string_view key, std::string_view name) {
+  if (key.size() != name.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < key.size(); ++i) {
+    if (key[i] != name[i] && key[i] != name[i] - ('a' - 'A')) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<Field> FieldOf(std::string_view key) {
+  for (uint8_t f = 0; f < kNumFields; ++f) {
+    if (KeyIs(key, kFieldNames[f])) {
+      return static_cast<Field>(f);
+    }
+  }
+  return std::nullopt;
+}
+
+// Reads the key=value fields of `line` (a record after its keyword) into
+// `record`; values may be double-quoted. Unknown keys are ignored.
+Status ReadFields(std::string_view line, Record* record) {
   size_t i = 0;
   const size_t n = line.size();
-  auto skip_ws = [&] {
-    while (i < n && (line[i] == ' ' || line[i] == '\t')) {
+  auto skip_separators = [&] {
+    while (i < n && IsSeparator(line[i])) {
       ++i;
     }
   };
-  skip_ws();
+  skip_separators();
   while (i < n) {
-    size_t eq = line.find('=', i);
-    if (eq == std::string::npos) {
-      return Result<std::unordered_map<std::string, std::string>>::Error(
-          "expected key=value near '" + line.substr(i, 20) + "'");
+    const size_t eq = line.find('=', i);
+    if (eq == std::string_view::npos) {
+      return Status::Error("expected key=value near '" + std::string(line.substr(i, 20)) + "'");
     }
-    std::string key = line.substr(i, eq - i);
+    const std::string_view key = line.substr(i, eq - i);
     i = eq + 1;
-    std::string value;
+    std::string_view value;
     if (i < n && line[i] == '"') {
       ++i;
-      size_t close = line.find('"', i);
-      if (close == std::string::npos) {
-        return Result<std::unordered_map<std::string, std::string>>::Error(
-            "unterminated quoted value for '" + key + "'");
+      const size_t close = line.find('"', i);
+      if (close == std::string_view::npos) {
+        return Status::Error("unterminated quoted value for '" + std::string(key) + "'");
       }
       value = line.substr(i, close - i);
       i = close + 1;
     } else {
-      size_t end = line.find(' ', i);
-      if (end == std::string::npos) {
-        end = n;
+      const size_t begin = i;
+      while (i < n && !IsSeparator(line[i])) {
+        ++i;
       }
-      value = line.substr(i, end - i);
-      i = end;
+      value = line.substr(begin, i - begin);
     }
-    fields[ToLower(key)] = value;
-    skip_ws();
+    if (std::optional<Field> f = FieldOf(key)) {
+      std::optional<std::string_view>& slot = (*record)[*f];
+      if (slot.has_value()) {
+        return Status::Error("duplicate field '" + std::string(kFieldNames[*f]) + "'");
+      }
+      slot = value;
+    }
+    skip_separators();
   }
-  return fields;
+  return Status::Ok();
 }
 
 // Each numeric field must fit the column it is stored in: agent ids an
@@ -61,28 +120,27 @@ constexpr int64_t kMaxPort = 65535;
 constexpr int64_t kMinFailureCode = std::numeric_limits<int32_t>::min();
 constexpr int64_t kMaxFailureCode = std::numeric_limits<int32_t>::max();
 
-Status OutOfRange(const std::string& key, int64_t lo, int64_t hi, const std::string& found) {
-  return Status::Error("field '" + key + "' must be an integer in [" + std::to_string(lo) + ", " +
-                       std::to_string(hi) + "], found '" + found + "'");
+Status OutOfRange(Field f, int64_t lo, int64_t hi, std::string_view found) {
+  return Status::Error("field '" + std::string(kFieldNames[f]) + "' must be an integer in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + "], found '" +
+                       std::string(found) + "'");
 }
 
-// The integer field `key` in [lo, hi]; `fallback` when the field is absent,
+// The integer field `f` in [lo, hi]; `fallback` when the field is absent,
 // an error when it is required (no fallback) and absent.
-Result<int64_t> FieldInt(const std::unordered_map<std::string, std::string>& fields,
-                         const std::string& key, int64_t lo = INT64_MIN, int64_t hi = INT64_MAX,
-                         std::optional<int64_t> fallback = std::nullopt) {
-  auto it = fields.find(key);
-  if (it == fields.end()) {
+Result<int64_t> FieldInt(const Record& record, Field f, int64_t lo = INT64_MIN,
+                         int64_t hi = INT64_MAX, std::optional<int64_t> fallback = std::nullopt) {
+  if (!record[f].has_value()) {
     if (fallback.has_value()) {
       return *fallback;
     }
-    return Result<int64_t>::Error("missing field '" + key + "'");
+    return Result<int64_t>::Error("missing field '" + std::string(kFieldNames[f]) + "'");
   }
-  const std::string& text = it->second;
+  const std::string_view text = *record[f];
   int64_t out = 0;
   auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
   if (ec != std::errc() || p != text.data() + text.size() || out < lo || out > hi) {
-    return Result<int64_t>(OutOfRange(key, lo, hi, text));
+    return Result<int64_t>(OutOfRange(f, lo, hi, text));
   }
   return out;
 }
@@ -96,13 +154,11 @@ Status FirstError(std::initializer_list<Status> statuses) {
   return Status::Ok();
 }
 
-Result<std::string> FieldStr(const std::unordered_map<std::string, std::string>& fields,
-                             const std::string& key) {
-  auto it = fields.find(key);
-  if (it == fields.end()) {
-    return Result<std::string>::Error("missing field '" + key + "'");
+Result<std::string_view> FieldStr(const Record& record, Field f) {
+  if (!record[f].has_value()) {
+    return Result<std::string_view>::Error("missing field '" + std::string(kFieldNames[f]) + "'");
   }
-  return it->second;
+  return *record[f];
 }
 
 }  // namespace
@@ -122,29 +178,33 @@ DurationMs ClockSkewCorrector::EstimateOffset(
   return offsets[mid];
 }
 
-Status AuditLogParser::IngestLine(const std::string& line) {
-  std::string trimmed = Trim(line);
-  if (trimmed.empty() || trimmed[0] == '#') {
+Status AuditLogParser::IngestLine(std::string_view line) {
+  line = TrimView(line);
+  if (line.empty() || line[0] == '#') {
     return Status::Ok();  // comments/blank lines are no-ops
   }
-  if (trimmed.rfind("EVENT", 0) != 0) {
+  return IngestRecord(line);
+}
+
+Status AuditLogParser::IngestRecord(std::string_view record) {
+  constexpr std::string_view kKeyword = "EVENT";
+  if (!record.starts_with(kKeyword) ||
+      (record.size() > kKeyword.size() && !IsSeparator(record[kKeyword.size()]))) {
     return Status::Error("record does not start with EVENT");
   }
-  Result<std::unordered_map<std::string, std::string>> fields =
-      ParseFields(trimmed.substr(5));
-  if (!fields.ok()) {
-    return fields.status();
+  Record f;
+  if (Status s = ReadFields(record.substr(kKeyword.size()), &f); !s.ok()) {
+    return s;
   }
-  const auto& f = fields.value();
 
-  Result<int64_t> ts = FieldInt(f, "ts", kMinTimestampMs, kMaxTimestampMs);
-  Result<int64_t> agent = FieldInt(f, "agent", 0, kMaxAgent);
-  Result<int64_t> pid = FieldInt(f, "pid");
-  Result<std::string> exe = FieldStr(f, "exe");
-  Result<std::string> op_name = FieldStr(f, "op");
-  Result<std::string> obj = FieldStr(f, "obj");
-  Result<int64_t> amount = FieldInt(f, "amount", INT64_MIN, INT64_MAX, 0);
-  Result<int64_t> fail = FieldInt(f, "fail", kMinFailureCode, kMaxFailureCode, 0);
+  Result<int64_t> ts = FieldInt(f, kTs, kMinTimestampMs, kMaxTimestampMs);
+  Result<int64_t> agent = FieldInt(f, kAgent, 0, kMaxAgent);
+  Result<int64_t> pid = FieldInt(f, kPid);
+  Result<std::string_view> exe = FieldStr(f, kExe);
+  Result<std::string_view> op_name = FieldStr(f, kOp);
+  Result<std::string_view> obj = FieldStr(f, kObj);
+  Result<int64_t> amount = FieldInt(f, kAmount, INT64_MIN, INT64_MAX, 0);
+  Result<int64_t> fail = FieldInt(f, kFail, kMinFailureCode, kMaxFailureCode, 0);
   if (Status s = FirstError({ts.status(), agent.status(), pid.status(), exe.status(),
                               op_name.status(), obj.status(), amount.status(), fail.status()});
       !s.ok()) {
@@ -152,14 +212,14 @@ Status AuditLogParser::IngestLine(const std::string& line) {
   }
   std::optional<Operation> op = ParseOperation(op_name.value());
   if (!op.has_value()) {
-    return Status::Error("unknown operation '" + op_name.value() + "'");
+    return Status::Error("unknown operation '" + std::string(op_name.value()) + "'");
   }
   AgentId agent_id = static_cast<AgentId>(agent.value());
   TimestampMs t = ts.value();
   if (skew_ != nullptr) {
     std::optional<TimestampMs> corrected = skew_->Correct(agent_id, t);
     if (!corrected.has_value() || *corrected < kMinTimestampMs || *corrected > kMaxTimestampMs) {
-      return OutOfRange("ts", kMinTimestampMs, kMaxTimestampMs,
+      return OutOfRange(kTs, kMinTimestampMs, kMaxTimestampMs,
                         std::to_string(t) + " after clock-skew correction");
     }
     t = *corrected;
@@ -167,70 +227,68 @@ Status AuditLogParser::IngestLine(const std::string& line) {
 
   // Each object kind validates its fields before the first Intern*, so a
   // rejected record leaves nothing in the catalog. The subject is interned
-  // before the object either way.
+  // before the object either way. (RecordEvent refuses an event only once
+  // the store's ids or the agent's sequence numbers have run out, which
+  // replayed events, not records, can bring about.)
+  EntityCatalog& catalog = db_->catalog();
   auto intern_subject = [&] {
-    return db_->catalog().InternProcess(agent_id, pid.value(), exe.value(),
-                                        f.count("user") > 0 ? f.at("user") : "system");
+    return catalog.InternProcess(agent_id, pid.value(), exe.value(), f[kUser].value_or("system"));
   };
-  const std::string& kind = obj.value();
+  const std::string_view kind = obj.value();
   if (kind == "file") {
-    Result<std::string> path = FieldStr(f, "path");
+    Result<std::string_view> path = FieldStr(f, kPath);
     if (!path.ok()) {
       return path.status();
     }
     uint32_t subject = intern_subject();
-    uint32_t file = db_->catalog().InternFile(agent_id, path.value());
-    db_->RecordEvent(agent_id, subject, *op, EntityType::kFile, file, t, amount.value(),
-                     static_cast<int32_t>(fail.value()));
-    return Status::Ok();
+    uint32_t file = catalog.InternFile(agent_id, path.value());
+    return db_->RecordEvent(agent_id, subject, *op, EntityType::kFile, file, t, amount.value(),
+                            static_cast<int32_t>(fail.value()));
   }
   if (kind == "proc" || kind == "process") {
-    Result<int64_t> tpid = FieldInt(f, "tpid");
-    Result<std::string> texe = FieldStr(f, "texe");
+    Result<int64_t> tpid = FieldInt(f, kTpid);
+    Result<std::string_view> texe = FieldStr(f, kTexe);
     // Cross-host process objects carry an explicit tagent.
-    Result<int64_t> tagent = FieldInt(f, "tagent", 0, kMaxAgent, agent_id);
+    Result<int64_t> tagent = FieldInt(f, kTagent, 0, kMaxAgent, agent_id);
     if (Status s = FirstError({tpid.status(), texe.status(), tagent.status()}); !s.ok()) {
       return s;
     }
     uint32_t subject = intern_subject();
-    uint32_t target = db_->catalog().InternProcess(static_cast<AgentId>(tagent.value()),
-                                                   tpid.value(), texe.value());
-    db_->RecordEvent(agent_id, subject, *op, EntityType::kProcess, target, t, amount.value(),
-                     static_cast<int32_t>(fail.value()));
-    return Status::Ok();
+    uint32_t target = catalog.InternProcess(static_cast<AgentId>(tagent.value()), tpid.value(),
+                                            texe.value());
+    return db_->RecordEvent(agent_id, subject, *op, EntityType::kProcess, target, t,
+                            amount.value(), static_cast<int32_t>(fail.value()));
   }
   if (kind == "ip" || kind == "net") {
-    Result<std::string> dst = FieldStr(f, "dst");
-    Result<int64_t> dport = FieldInt(f, "dport", 0, kMaxPort, 0);
-    Result<int64_t> sport = FieldInt(f, "sport", 0, kMaxPort, 0);
+    Result<std::string_view> dst = FieldStr(f, kDst);
+    Result<int64_t> dport = FieldInt(f, kDport, 0, kMaxPort, 0);
+    Result<int64_t> sport = FieldInt(f, kSport, 0, kMaxPort, 0);
     if (Status s = FirstError({dst.status(), dport.status(), sport.status()}); !s.ok()) {
       return s;
     }
-    std::string src = f.count("src") > 0 ? f.at("src") : "0.0.0.0";
-    std::string proto = f.count("proto") > 0 ? f.at("proto") : "tcp";
     uint32_t subject = intern_subject();
-    uint32_t conn = db_->catalog().InternNetwork(agent_id, src, dst.value(),
-                                                 static_cast<int32_t>(sport.value()),
-                                                 static_cast<int32_t>(dport.value()), proto);
-    db_->RecordEvent(agent_id, subject, *op, EntityType::kNetwork, conn, t, amount.value(),
-                     static_cast<int32_t>(fail.value()));
-    return Status::Ok();
+    uint32_t conn = catalog.InternNetwork(
+        agent_id, f[kSrc].value_or("0.0.0.0"), dst.value(), static_cast<int32_t>(sport.value()),
+        static_cast<int32_t>(dport.value()), f[kProto].value_or("tcp"));
+    return db_->RecordEvent(agent_id, subject, *op, EntityType::kNetwork, conn, t,
+                            amount.value(), static_cast<int32_t>(fail.value()));
   }
-  return Status::Error("unknown object kind '" + kind + "'");
+  return Status::Error("unknown object kind '" + std::string(kind) + "'");
 }
 
-IngestReport AuditLogParser::IngestText(const std::string& text) {
+IngestReport AuditLogParser::IngestText(std::string_view text) {
   IngestReport report;
   size_t line_number = 0;
-  for (const std::string& line : Split(text, '\n')) {
+  for (size_t start = 0; start <= text.size();) {
+    const size_t end = std::min(text.find('\n', start), text.size());
+    const std::string_view line = TrimView(text.substr(start, end - start));
+    start = end + 1;
     ++line_number;
-    std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') {
+    if (line.empty() || line[0] == '#') {
       ++report.lines_skipped;
       continue;
     }
-    Status s = IngestLine(line);
-    if (s.ok()) {
+    if (Status s = IngestRecord(line); s.ok()) {
       ++report.records_ingested;
     } else {
       report.errors.push_back(IngestError{line_number, s.message()});

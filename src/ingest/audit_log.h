@@ -6,15 +6,27 @@
 // produced traces:
 //
 //   EVENT ts=<ms> agent=<id> pid=<pid> exe=<path> op=<op> obj=file
-//         path=<file path> [amount=<bytes>] [fail=<code>]        (one line)
-//   EVENT ts=... op=start obj=proc tpid=<pid> texe=<path>
-//   EVENT ts=... op=connect obj=ip dst=<ip> dport=<port> [proto=tcp] [amount=<bytes>]
+//         path=<file path> [amount=<bytes>] [fail=<code>] [user=<name>]  (one line)
+//   EVENT ts=... op=start obj=proc tpid=<pid> texe=<path> [tagent=<id>]
+//   EVENT ts=... op=connect obj=ip dst=<ip> [dport=<port>] [src=<ip>]
+//         [sport=<port>] [proto=tcp] [amount=<bytes>]
 //
-// Values containing spaces are double-quoted. '#' starts a comment line.
+// Grammar of a line, after leading and trailing whitespace is trimmed:
+//   - blank, or starting with '#': skipped (a comment);
+//   - otherwise a record: the keyword EVENT (case-sensitive), then the end of
+//     the line or a separator, then fields. A separator is a run of spaces
+//     and tabs; "EVENTts=1" is not a record.
+//   - a field is key=value. The key is everything up to the next '='. A value
+//     is either double-quoted (it runs to the next '"' and may hold spaces) or
+//     unquoted (it ends at the next space or tab).
+//   - keys match case-insensitively (TS= is ts=). Unknown keys are ignored;
+//     a known key given twice (in any case) rejects the record.
+//
 // Malformed lines are collected (line number + reason) without aborting the
 // whole ingest, mirroring a production collector. A numeric field outside
 // the range of the column it lands in (agent ids, failure codes, ports,
-// timestamps; see audit_log.cc) makes its line malformed.
+// timestamps; see audit_log.cc) makes its line malformed. A rejected record
+// interns no entity.
 //
 // ClockSkewCorrector implements the paper's §3.2 "Time Synchronization":
 // per-agent clock offsets are estimated from (agent timestamp, server
@@ -25,6 +37,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -72,13 +85,18 @@ class AuditLogParser {
   explicit AuditLogParser(Database* db, const ClockSkewCorrector* skew = nullptr)
       : db_(db), skew_(skew) {}
 
-  // Parses and ingests every record in `text`.
-  IngestReport IngestText(const std::string& text);
+  // Parses and ingests every record in `text`, in one pass over it. Lines
+  // are the pieces between '\n's, the (empty) piece after a final newline
+  // included; each is ingested, reported as an error, or counted as skipped.
+  IngestReport IngestText(std::string_view text);
 
   // Parses one record line; returns an error for malformed records.
-  Status IngestLine(const std::string& line);
+  Status IngestLine(std::string_view line);
 
  private:
+  // Ingests one trimmed line that is neither blank nor a comment.
+  Status IngestRecord(std::string_view record);
+
   Database* db_;
   const ClockSkewCorrector* skew_;
 };

@@ -1,6 +1,7 @@
 #include "src/mpp/mpp_cluster.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace aiql {
 
@@ -60,7 +61,10 @@ void MppCluster::BuildFrom(const Database& source) {
     std::sort(shard[i].begin(), shard[i].end(),
               [](const Event& a, const Event& b) { return a.id < b.id; });
     for (const Event& e : shard[i]) {
-      segments_[i]->AppendRaw(e);  // preserve original event ids/sequences
+      // Preserves the original event ids/sequences; the source stored each
+      // event, so a segment cannot refuse it.
+      [[maybe_unused]] const Status stored = segments_[i]->AppendRaw(e);
+      assert(stored.ok());
     }
     segments_[i]->Finalize();
   }

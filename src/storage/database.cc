@@ -37,12 +37,14 @@ Partition& Database::PartitionFor(AgentId agent, TimestampMs t) {
   return *it->second;
 }
 
-void Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
-                           EntityType object_type, uint32_t object_idx, TimestampMs start_time,
-                           int64_t amount, int32_t failure_code, TimestampMs end_time) {
+Status Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
+                             EntityType object_type, uint32_t object_idx, TimestampMs start_time,
+                             int64_t amount, int32_t failure_code, TimestampMs end_time) {
   Event e;
-  e.id = next_event_id_++;
-  e.seq = ++agent_seq_[agent];
+  if (__builtin_add_overflow(agent_seq_[agent], 1, &e.seq)) {
+    return Status::Error("agent " + std::to_string(agent) + " has no sequence number left");
+  }
+  e.id = next_event_id_;
   e.agent_id = agent;
   e.op = op;
   e.object_type = object_type;
@@ -52,19 +54,28 @@ void Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
   e.end_time = end_time < 0 ? start_time : end_time;
   e.amount = amount;
   e.failure_code = failure_code;
-
-  AppendRaw(e);
+  return AppendRaw(e);
 }
 
-void Database::AppendRaw(const Event& e) {
+Status Database::AppendRaw(const Event& e) {
+  int64_t next_id = 0;
+  if (__builtin_add_overflow(e.id, 1, &next_id)) {
+    return Status::Error("event id " + std::to_string(e.id) + " leaves no id for the next event");
+  }
+  if (e.start_time < kMinTimestampMs || e.start_time > kMaxTimestampMs) {
+    return Status::Error("event start time " + std::to_string(e.start_time) + " is outside [" +
+                         std::to_string(kMinTimestampMs) + ", " +
+                         std::to_string(kMaxTimestampMs) + "]");
+  }
   PartitionFor(e.agent_id, e.start_time).Append(e);
   ++num_events_;
-  next_event_id_ = std::max(next_event_id_, e.id + 1);
+  next_event_id_ = std::max(next_event_id_, next_id);
   int64_t& seq = agent_seq_[e.agent_id];
   seq = std::max(seq, e.seq);
   data_range_.begin = std::min(data_range_.begin, e.start_time);
   data_range_.end = std::max(data_range_.end, e.start_time + 1);
   finalized_ = false;
+  return Status::Ok();
 }
 
 void Database::Finalize() {

@@ -35,6 +35,7 @@
 #include "src/storage/event.h"
 #include "src/storage/event_store.h"
 #include "src/storage/partition.h"
+#include "src/util/result.h"
 #include "src/util/time_utils.h"
 
 namespace aiql {
@@ -156,15 +157,20 @@ class Database : public EventStore {
   const DatabaseOptions& options() const { return options_; }
 
   // Appends an event; ids and per-agent sequence numbers are assigned here.
-  // end_time defaults to start_time when omitted.
-  void RecordEvent(AgentId agent, uint32_t subject_idx, Operation op, EntityType object_type,
-                   uint32_t object_idx, TimestampMs start_time, int64_t amount = 0,
-                   int32_t failure_code = 0, TimestampMs end_time = -1);
+  // end_time defaults to start_time when omitted. Refused, as AppendRaw
+  // refuses, when no id or sequence number is left or the start time is out
+  // of range.
+  Status RecordEvent(AgentId agent, uint32_t subject_idx, Operation op, EntityType object_type,
+                     uint32_t object_idx, TimestampMs start_time, int64_t amount = 0,
+                     int32_t failure_code = 0, TimestampMs end_time = -1);
 
   // Appends a fully-formed event preserving its id/sequence (used when
   // re-sharding an existing database into MPP segments). Later RecordEvent
   // ids and per-agent sequence numbers continue past the replayed ones.
-  void AppendRaw(const Event& e);
+  // Refuses, storing nothing, an event whose id has no successor (INT64_MAX)
+  // or whose start time is outside [kMinTimestampMs, kMaxTimestampMs], so the
+  // id and time-range bookkeeping cannot overflow.
+  Status AppendRaw(const Event& e);
 
   // Sorts partitions, builds all indexes, and applies the archive policy
   // (archive_after_days). Idempotent.

@@ -3,28 +3,10 @@
 #include "src/storage/attributes.h"
 
 namespace aiql {
-namespace {
 
-std::string FileKey(AgentId agent, const std::string& name) {
-  return std::to_string(agent) + "|" + name;
-}
-
-std::string ProcKey(AgentId agent, int64_t pid, const std::string& exe) {
-  return std::to_string(agent) + "|" + std::to_string(pid) + "|" + exe;
-}
-
-std::string NetKey(AgentId agent, const std::string& src_ip, const std::string& dst_ip,
-                   int32_t src_port, int32_t dst_port, const std::string& protocol) {
-  return std::to_string(agent) + "|" + src_ip + ":" + std::to_string(src_port) + ">" + dst_ip +
-         ":" + std::to_string(dst_port) + "/" + protocol;
-}
-
-}  // namespace
-
-uint32_t EntityCatalog::InternFile(AgentId agent, const std::string& name,
-                                   const std::string& owner, const std::string& group) {
-  std::string key = FileKey(agent, name);
-  auto it = file_key_.find(key);
+uint32_t EntityCatalog::InternFile(AgentId agent, std::string_view name, std::string_view owner,
+                                   std::string_view group) {
+  auto it = file_key_.find(std::tuple(agent, name));
   if (it != file_key_.end()) {
     return it->second;
   }
@@ -38,15 +20,14 @@ uint32_t EntityCatalog::InternFile(AgentId agent, const std::string& name,
   e.data_id = e.id;
   uint32_t idx = static_cast<uint32_t>(files_.size());
   files_.push_back(std::move(e));
-  file_key_.emplace(std::move(key), idx);
+  file_key_.emplace(std::tuple(agent, std::string(name)), idx);
   return idx;
 }
 
-uint32_t EntityCatalog::InternProcess(AgentId agent, int64_t pid, const std::string& exe_name,
-                                      const std::string& user, const std::string& cmd,
-                                      const std::string& signature) {
-  std::string key = ProcKey(agent, pid, exe_name);
-  auto it = proc_key_.find(key);
+uint32_t EntityCatalog::InternProcess(AgentId agent, int64_t pid, std::string_view exe_name,
+                                      std::string_view user, std::string_view cmd,
+                                      std::string_view signature) {
+  auto it = proc_key_.find(std::tuple(agent, pid, exe_name));
   if (it != proc_key_.end()) {
     return it->second;
   }
@@ -60,15 +41,14 @@ uint32_t EntityCatalog::InternProcess(AgentId agent, int64_t pid, const std::str
   e.signature = signature;
   uint32_t idx = static_cast<uint32_t>(processes_.size());
   processes_.push_back(std::move(e));
-  proc_key_.emplace(std::move(key), idx);
+  proc_key_.emplace(std::tuple(agent, pid, std::string(exe_name)), idx);
   return idx;
 }
 
-uint32_t EntityCatalog::InternNetwork(AgentId agent, const std::string& src_ip,
-                                      const std::string& dst_ip, int32_t src_port,
-                                      int32_t dst_port, const std::string& protocol) {
-  std::string key = NetKey(agent, src_ip, dst_ip, src_port, dst_port, protocol);
-  auto it = net_key_.find(key);
+uint32_t EntityCatalog::InternNetwork(AgentId agent, std::string_view src_ip,
+                                      std::string_view dst_ip, int32_t src_port, int32_t dst_port,
+                                      std::string_view protocol) {
+  auto it = net_key_.find(std::tuple(agent, src_ip, dst_ip, src_port, dst_port, protocol));
   if (it != net_key_.end()) {
     return it->second;
   }
@@ -82,7 +62,9 @@ uint32_t EntityCatalog::InternNetwork(AgentId agent, const std::string& src_ip,
   e.protocol = protocol;
   uint32_t idx = static_cast<uint32_t>(networks_.size());
   networks_.push_back(std::move(e));
-  net_key_.emplace(std::move(key), idx);
+  net_key_.emplace(std::tuple(agent, std::string(src_ip), std::string(dst_ip), src_port,
+                              dst_port, std::string(protocol)),
+                   idx);
   return idx;
 }
 

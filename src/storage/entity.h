@@ -9,8 +9,11 @@
 #define AIQL_SRC_STORAGE_ENTITY_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -76,14 +79,15 @@ struct NetworkEntity {
 class EntityCatalog {
  public:
   // Interns by identity key (agent + name/pid/5-tuple); returns the dense
-  // index of the (possibly pre-existing) entity.
-  uint32_t InternFile(AgentId agent, const std::string& name, const std::string& owner = "root",
-                      const std::string& group = "root");
-  uint32_t InternProcess(AgentId agent, int64_t pid, const std::string& exe_name,
-                         const std::string& user = "system", const std::string& cmd = "",
-                         const std::string& signature = "unsigned");
-  uint32_t InternNetwork(AgentId agent, const std::string& src_ip, const std::string& dst_ip,
-                         int32_t src_port, int32_t dst_port, const std::string& protocol = "tcp");
+  // index of the (possibly pre-existing) entity. A known entity is found
+  // without allocating; the strings are copied only into a new entity.
+  uint32_t InternFile(AgentId agent, std::string_view name, std::string_view owner = "root",
+                      std::string_view group = "root");
+  uint32_t InternProcess(AgentId agent, int64_t pid, std::string_view exe_name,
+                         std::string_view user = "system", std::string_view cmd = "",
+                         std::string_view signature = "unsigned");
+  uint32_t InternNetwork(AgentId agent, std::string_view src_ip, std::string_view dst_ip,
+                         int32_t src_port, int32_t dst_port, std::string_view protocol = "tcp");
 
   const std::vector<FileEntity>& files() const { return files_; }
   const std::vector<ProcessEntity>& processes() const { return processes_; }
@@ -99,13 +103,36 @@ class EntityCatalog {
   size_t total_entities() const { return files_.size() + processes_.size() + networks_.size(); }
 
  private:
+  // Hashes an identity tuple part by part; a std::string part hashes as its
+  // std::string_view, so a tuple of views finds the owning key.
+  struct IdentityHash {
+    using is_transparent = void;
+    static size_t Part(std::string_view s) { return std::hash<std::string_view>{}(s); }
+    static size_t Part(int64_t v) { return std::hash<int64_t>{}(v); }
+    template <typename... Parts>
+    size_t operator()(const std::tuple<Parts...>& key) const {
+      size_t h = 0;
+      std::apply(
+          [&h](const auto&... part) {
+            ((h ^= Part(part) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2)), ...);
+          },
+          key);
+      return h;
+    }
+  };
+  // Identity key -> dense index. Keys own their strings; lookups pass the
+  // same tuple with std::string_view parts.
+  template <typename... Parts>
+  using IdentityMap =
+      std::unordered_map<std::tuple<Parts...>, uint32_t, IdentityHash, std::equal_to<>>;
+
   int64_t next_id_ = 1;
   std::vector<FileEntity> files_;
   std::vector<ProcessEntity> processes_;
   std::vector<NetworkEntity> networks_;
-  std::unordered_map<std::string, uint32_t> file_key_;
-  std::unordered_map<std::string, uint32_t> proc_key_;
-  std::unordered_map<std::string, uint32_t> net_key_;
+  IdentityMap<AgentId, std::string> file_key_;
+  IdentityMap<AgentId, int64_t, std::string> proc_key_;
+  IdentityMap<AgentId, std::string, std::string, int32_t, int32_t, std::string> net_key_;
 };
 
 }  // namespace aiql

@@ -56,7 +56,7 @@ void ToLowerInto(std::string_view s, std::string* out) {
   }
 }
 
-std::string Trim(std::string_view s) {
+std::string_view TrimView(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) {
@@ -65,8 +65,10 @@ std::string Trim(std::string_view s) {
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) {
     --e;
   }
-  return std::string(s.substr(b, e - b));
+  return s.substr(b, e - b);
 }
+
+std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> out;

@@ -23,6 +23,9 @@ std::string ToLower(std::string_view s);
 // Allocation-free variant for hot loops: folds `s` into `out`, reusing its
 // capacity.
 void ToLowerInto(std::string_view s, std::string* out);
+// `s` without leading and trailing whitespace (std::isspace), as a view into
+// `s`; Trim copies it.
+std::string_view TrimView(std::string_view s);
 std::string Trim(std::string_view s);
 std::vector<std::string> Split(std::string_view s, char sep);
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);

@@ -345,6 +345,75 @@ TEST(StorageReplayTest, RecordEventAfterAppendRawContinuesSequence) {
   EXPECT_EQ(id_seq, want);
 }
 
+// A replayed event with id INT64_MAX leaves no id for the next event: it is
+// refused, not stored, and the RecordEvent after it takes the next free id
+// (the id bookkeeping once computed INT64_MAX + 1 here).
+TEST(StorageReplayTest, LargestIdIsRefusedAndRecordEventDoesNotOverflow) {
+  Database db;
+  uint32_t p = db.catalog().InternProcess(1, 1, "/bin/x");
+  uint32_t f = db.catalog().InternFile(1, "/data");
+  Event last;
+  last.id = INT64_MAX;
+  last.seq = 1;
+  last.agent_id = 1;
+  last.subject_idx = p;
+  last.object_idx = f;
+  last.start_time = last.end_time = 1000;
+  db.AppendRaw(last);
+  db.RecordEvent(1, p, Operation::kWrite, EntityType::kFile, f, 2000);
+  std::vector<std::pair<int64_t, int64_t>> id_seq;
+  db.ForEachEvent([&](const Event& e) { id_seq.emplace_back(e.id, e.seq); });
+  std::vector<std::pair<int64_t, int64_t>> want = {{1, 1}};
+  EXPECT_EQ(id_seq, want);
+  EXPECT_EQ(db.num_events(), 1u);
+}
+
+// Every bound the id, sequence and time-range bookkeeping needs is checked,
+// and a refused event leaves the store as it was.
+TEST(StorageReplayTest, EventsThatWouldOverflowAreRefused) {
+  Database db;
+  uint32_t p = db.catalog().InternProcess(1, 1, "/bin/x");
+  uint32_t f = db.catalog().InternFile(1, "/data");
+  Event e;
+  e.agent_id = 1;
+  e.subject_idx = p;
+  e.object_idx = f;
+  e.start_time = e.end_time = 1000;
+
+  e.id = INT64_MAX;
+  Status s = db.AppendRaw(e);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("event id 9223372036854775807"), std::string::npos) << s.message();
+  e.id = 7;
+  e.start_time = kMaxTimestampMs + 1;
+  EXPECT_FALSE(db.AppendRaw(e).ok());
+  e.start_time = kMinTimestampMs - 1;
+  EXPECT_FALSE(db.AppendRaw(e).ok());
+  EXPECT_FALSE(db.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f, INT64_MAX).ok());
+  EXPECT_EQ(db.num_events(), 0u);
+  EXPECT_EQ(db.data_time_range().begin, INT64_MAX);
+
+  // The largest storable id is accepted; then no id is left for RecordEvent.
+  e.id = INT64_MAX - 1;
+  e.start_time = kMaxTimestampMs;
+  EXPECT_TRUE(db.AppendRaw(e).ok());
+  EXPECT_FALSE(db.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f, 2000).ok());
+
+  // A replayed sequence number INT64_MAX leaves none for the agent's next
+  // event; other agents are unaffected.
+  Database seq_db;
+  e.id = 1;
+  e.seq = INT64_MAX;
+  EXPECT_TRUE(seq_db.AppendRaw(e).ok());
+  Status next = seq_db.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f, 2000);
+  EXPECT_FALSE(next.ok());
+  EXPECT_NE(next.message().find("sequence"), std::string::npos) << next.message();
+  EXPECT_TRUE(seq_db.RecordEvent(2, p, Operation::kRead, EntityType::kFile, f, 2000).ok());
+  EXPECT_EQ(seq_db.num_events(), 2u);
+  EXPECT_EQ(db.num_events(), 1u);
+  EXPECT_EQ(db.data_time_range().end, kMaxTimestampMs + 1);
+}
+
 // Every field of every event, compared by name (not through the column
 // registry, whose pairing of columns and fields is what is under test).
 void ExpectSameEvents(const std::vector<Event>& got, const std::vector<Event>& want,

@@ -300,5 +300,61 @@ TEST(AuditLogTest, SkewCorrectionIsRangeChecked) {
   EXPECT_NE(report.errors[1].message.find("clock-skew"), std::string::npos);
 }
 
+// Space and tab both end an unquoted value and separate fields.
+TEST(AuditLogTest, TabSeparatesFields) {
+  Database db;
+  IngestReport report = AuditLogParser(&db).IngestText(
+      "EVENT\tts=1483228800000\tagent=1\tpid=7\texe=\"/bin/sh\"\top=read obj=file\t"
+      "path=\"/etc/passwd\"\tamount=5\n");
+  EXPECT_EQ(report.records_ingested, 1u);
+  ASSERT_TRUE(report.errors.empty()) << report.errors[0].message;
+  db.Finalize();
+  db.ForEachEvent([&](const Event& e) {
+    EXPECT_EQ(e.start_time, 1483228800000);
+    EXPECT_EQ(e.agent_id, 1u);
+    EXPECT_EQ(e.amount, 5);
+  });
+  ASSERT_EQ(db.catalog().files().size(), 1u);
+  EXPECT_EQ(db.catalog().files()[0].name, "/etc/passwd");
+}
+
+// The EVENT keyword is a word of its own: a separator or the end of the line
+// must follow it.
+TEST(AuditLogTest, KeywordMustEndAtSeparator) {
+  Database db;
+  IngestReport report = AuditLogParser(&db).IngestText(
+      "EVENTts=1000 agent=1 pid=1 exe=\"/x\" op=read obj=file path=\"/a\"\n"
+      "EVENTS ts=1000 agent=1 pid=1 exe=\"/x\" op=read obj=file path=\"/a\"\n"
+      "EVENT\n"
+      "EVENT\tts=1000 agent=1 pid=1 exe=\"/x\" op=read obj=file path=\"/a\"\n");
+  EXPECT_EQ(report.records_ingested, 1u);
+  ASSERT_EQ(report.errors.size(), 3u);
+  EXPECT_EQ(report.errors[0].line_number, 1u);
+  EXPECT_EQ(report.errors[0].message, "record does not start with EVENT");
+  EXPECT_EQ(report.errors[1].message, "record does not start with EVENT");
+  EXPECT_EQ(report.errors[2].message, "missing field 'ts'");
+  EXPECT_EQ(db.num_events(), 1u);
+}
+
+// A known key given twice, in any case, rejects the record and interns
+// nothing; an unknown key may repeat.
+TEST(AuditLogTest, DuplicateKnownKeyIsAnError) {
+  Database db;
+  IngestReport report = AuditLogParser(&db).IngestText(
+      "EVENT ts=1000 agent=1 pid=7 exe=\"/bin/a\" op=read obj=file path=\"/a\" AGENT=2\n"
+      "EVENT ts=1000 agent=1 pid=8 exe=\"/bin/b\" op=read obj=file path=\"/a\" path=\"/b\"\n"
+      "EVENT ts=1000 agent=1 pid=9 exe=\"/bin/c\" op=read obj=file path=\"/c\" note=x NOTE=y\n");
+  EXPECT_EQ(report.records_ingested, 1u);
+  ASSERT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(report.errors[0].line_number, 1u);
+  EXPECT_EQ(report.errors[0].message, "duplicate field 'agent'");
+  EXPECT_EQ(report.errors[1].line_number, 2u);
+  EXPECT_EQ(report.errors[1].message, "duplicate field 'path'");
+  ASSERT_EQ(db.catalog().processes().size(), 1u);
+  EXPECT_EQ(db.catalog().processes()[0].exe_name, "/bin/c");
+  ASSERT_EQ(db.catalog().files().size(), 1u);
+  EXPECT_EQ(db.catalog().files()[0].name, "/c");
+}
+
 }  // namespace
 }  // namespace aiql
